@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -174,78 +175,109 @@ void IOModel::write(std::ostream& out) const {
 IOModel IOModel::load(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path.string());
+  // Every error names path:line: std::sto* alone throws a bare "stoi".
+  auto malformed = [&path](std::size_t lineNo, const std::string& why) {
+    return std::runtime_error(path.string() + ":" + std::to_string(lineNo) +
+                              ": malformed model record (" + why + ")");
+  };
   std::string appName;
   int np = 0;
   std::vector<trace::FileMeta> files;
   std::vector<Phase> phases;
+  std::map<int, std::size_t> phaseIndex;        // phase id -> phases[]
+  std::vector<std::vector<std::size_t>> opLines;  // per phase, per op
   std::string line;
+  std::size_t lineNo = 0;
   while (std::getline(in, line)) {
+    ++lineNo;
     auto trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     auto t = util::splitWhitespace(trimmed);
-    if (t[0] == "app") {
-      appName = t.at(1);
-    } else if (t[0] == "np") {
-      np = std::stoi(t.at(1));
-    } else if (t[0] == "file") {
-      trace::FileMeta f;
-      f.fileId = std::stoi(t.at(1));
-      f.path = t.at(2);
-      f.shared = t.at(3) == "1";
-      f.etypeBytes = std::stoull(t.at(4));
-      f.viewDisp = std::stoull(t.at(5));
-      f.filetypeBlock = std::stoull(t.at(6));
-      f.filetypeStride = std::stoull(t.at(7));
-      f.sawCollective = t.at(8) == "1";
-      f.sawExplicitOffsets = t.at(9) == "1";
-      f.sawIndividualPointers = t.at(10) == "1";
-      f.np = std::stoi(t.at(11));
-      if (t.size() > 12) f.sawNonBlocking = t[12] == "1";
-      files.push_back(std::move(f));
-    } else if (t[0] == "phase") {
-      Phase p;
-      p.id = std::stoi(t.at(1));
-      p.idF = std::stoi(t.at(2));
-      p.rep = std::stoull(t.at(3));
-      p.familyId = std::stoi(t.at(4));
-      p.familyIndex = std::stoi(t.at(5));
-      p.firstTick = std::stoull(t.at(6));
-      p.lastTick = std::stoull(t.at(7));
-      p.startTime = std::stod(t.at(8));
-      p.endTime = std::stod(t.at(9));
-      p.sumIoDuration = std::stod(t.at(10));
-      p.maxRankIoDuration = std::stod(t.at(11));
-      p.ioUnionSeconds = std::stod(t.at(12));
-      p.weightBytes = std::stoull(t.at(13));
-      phases.push_back(std::move(p));
-    } else if (t[0] == "ranks") {
-      const int id = std::stoi(t.at(1));
-      for (auto& p : phases) {
-        if (p.id == id) {
+    try {
+      if (t[0] == "app") {
+        appName = t.at(1);
+      } else if (t[0] == "np") {
+        np = std::stoi(t.at(1));
+      } else if (t[0] == "file") {
+        trace::FileMeta f;
+        f.fileId = std::stoi(t.at(1));
+        f.path = t.at(2);
+        f.shared = t.at(3) == "1";
+        f.etypeBytes = std::stoull(t.at(4));
+        f.viewDisp = std::stoull(t.at(5));
+        f.filetypeBlock = std::stoull(t.at(6));
+        f.filetypeStride = std::stoull(t.at(7));
+        f.sawCollective = t.at(8) == "1";
+        f.sawExplicitOffsets = t.at(9) == "1";
+        f.sawIndividualPointers = t.at(10) == "1";
+        f.np = std::stoi(t.at(11));
+        if (t.size() > 12) f.sawNonBlocking = t[12] == "1";
+        files.push_back(std::move(f));
+      } else if (t[0] == "phase") {
+        Phase p;
+        p.id = std::stoi(t.at(1));
+        p.idF = std::stoi(t.at(2));
+        p.rep = std::stoull(t.at(3));
+        p.familyId = std::stoi(t.at(4));
+        p.familyIndex = std::stoi(t.at(5));
+        p.firstTick = std::stoull(t.at(6));
+        p.lastTick = std::stoull(t.at(7));
+        p.startTime = std::stod(t.at(8));
+        p.endTime = std::stod(t.at(9));
+        p.sumIoDuration = std::stod(t.at(10));
+        p.maxRankIoDuration = std::stod(t.at(11));
+        p.ioUnionSeconds = std::stod(t.at(12));
+        p.weightBytes = std::stoull(t.at(13));
+        if (!phaseIndex.emplace(p.id, phases.size()).second) {
+          throw std::runtime_error("duplicate phase " + t[1]);
+        }
+        phases.push_back(std::move(p));
+        opLines.emplace_back();
+      } else if (t[0] == "ranks" || t[0] == "op") {
+        const auto it = phaseIndex.find(std::stoi(t.at(1)));
+        if (it == phaseIndex.end()) {
+          throw std::runtime_error("unknown phase " + t[1]);
+        }
+        Phase& p = phases[it->second];
+        if (t[0] == "ranks") {
           for (std::size_t i = 2; i < t.size(); ++i) {
             p.ranks.push_back(std::stoi(t[i]));
           }
+        } else {
+          PhaseOp op;
+          op.op = t.at(3);
+          op.rsBytes = std::stoull(t.at(4));
+          op.dispBytes = std::stoll(t.at(5));
+          op.offsetFn.exact = t.at(6) == "1";
+          op.offsetFn.aBytes = std::stod(t.at(7));
+          op.offsetFn.bBytes = std::stod(t.at(8));
+          op.offsetFn.cBytes = std::stod(t.at(9));
+          for (std::size_t i = 10; i < t.size(); ++i) {
+            op.initOffsetBytes.push_back(std::stoull(t[i]));
+          }
+          p.ops.push_back(std::move(op));
+          opLines[it->second].push_back(lineNo);
         }
       }
-    } else if (t[0] == "op") {
-      const int id = std::stoi(t.at(1));
-      PhaseOp op;
-      op.op = t.at(3);
-      op.rsBytes = std::stoull(t.at(4));
-      op.dispBytes = std::stoll(t.at(5));
-      op.offsetFn.exact = t.at(6) == "1";
-      op.offsetFn.aBytes = std::stod(t.at(7));
-      op.offsetFn.bBytes = std::stod(t.at(8));
-      op.offsetFn.cBytes = std::stod(t.at(9));
-      for (std::size_t i = 10; i < t.size(); ++i) {
-        op.initOffsetBytes.push_back(std::stoull(t[i]));
-      }
-      for (auto& p : phases) {
-        if (p.id == id) p.ops.push_back(std::move(op));
-      }
+    } catch (const std::exception& e) {
+      throw malformed(lineNo, e.what());
     }
   }
   if (np <= 0) throw std::runtime_error("model file missing np");
+  // The estimators index initOffsetBytes by rank position: an op with
+  // fewer (or more) offsets than its phase has ranks is a damaged model.
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const Phase& p = phases[i];
+    for (std::size_t j = 0; j < p.ops.size(); ++j) {
+      if (p.ops[j].initOffsetBytes.size() != p.ranks.size()) {
+        throw malformed(opLines[i][j],
+                        std::to_string(p.ops[j].initOffsetBytes.size()) +
+                            " initial offsets for the " +
+                            std::to_string(p.ranks.size()) +
+                            " ranks of phase " + std::to_string(p.id));
+      }
+    }
+  }
   return IOModel(appName, np, std::move(files), std::move(phases));
 }
 

@@ -15,8 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/tracer.hpp"
@@ -85,6 +86,12 @@ struct SegmentOptions {
 /// Segment one rank's records of one file into repeated cycles.
 std::vector<Segment> segmentRecords(const std::vector<trace::Record>& records,
                                     const SegmentOptions& options = {});
+
+/// segmentRecords over a view of records held elsewhere (e.g. one file's
+/// slice of a rank's multi-file stream), so callers need not copy them.
+std::vector<Segment> segmentRecordView(
+    std::span<const trace::Record* const> records,
+    const SegmentOptions& options = {});
 
 /// Render LAPs as the paper's Figure-3 table.
 std::string renderLapTable(const std::vector<Lap>& laps);

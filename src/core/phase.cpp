@@ -3,40 +3,68 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
-#include <sstream>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/table.hpp"
+#include "util/text.hpp"
 #include "util/units.hpp"
 
 namespace iop::core {
 
 namespace {
 
-/// A tick-contiguous slice of one rank's segment: a candidate phase member.
+/// A tick-contiguous slice — repetitions [repBegin, repEnd) — of one rank's
+/// segment: a candidate phase member.  Slices refer to their segment
+/// instead of copying its ops and windows.
 struct LocalPhase {
-  int idP = 0;
-  int idF = 0;
-  std::vector<CycleOp> ops;  ///< initOffsetUnits adjusted to the slice
-  std::uint64_t rep = 0;
-  std::uint64_t firstTick = 0;
-  std::uint64_t lastTick = 0;
-  double startTime = 0;
-  double endTime = 0;
-  double ioDuration = 0;
-  std::vector<std::pair<double, double>> opWindows;
-  std::string signature;  ///< grouping key (ops/rs/disp/rep)
-  std::size_t occurrence = 0;  ///< n-th local phase with this signature
+  const Segment* seg = nullptr;
+  std::uint64_t repBegin = 0;
+  std::uint64_t repEnd = 0;
+  std::size_t signature = 0;   ///< signature id, then its rank (steps 2-3)
+  std::size_t occurrence = 0;  ///< n-th of this rank's (file, signature)
+
+  int idP() const { return seg->idP; }
+  int idF() const { return seg->idF; }
+  std::uint64_t rep() const { return repEnd - repBegin; }
+  std::uint64_t firstTick() const { return seg->repFirstTicks[repBegin]; }
+  std::uint64_t lastTick() const { return seg->repLastTicks[repEnd - 1]; }
+  double startTime() const { return seg->repStartTimes[repBegin]; }
+  double endTime() const { return seg->repEndTimes[repEnd - 1]; }
+  /// Offset of cycle position j in the slice's first repetition (modular,
+  /// so hostile offsets wrap instead of overflowing).
+  std::uint64_t initOffsetUnits(std::size_t j) const {
+    const CycleOp& op = seg->ops[j];
+    return op.initOffsetUnits +
+           static_cast<std::uint64_t>(op.dispUnits) * repBegin;
+  }
+  double ioDuration() const {
+    double total = 0;
+    for (std::uint64_t m = repBegin; m < repEnd; ++m) {
+      total += seg->repIoDurations[m];
+    }
+    return total;
+  }
 };
 
-std::string signatureOf(const std::vector<CycleOp>& ops, std::uint64_t rep) {
-  std::ostringstream sig;
-  sig << rep << '|';
+/// The grouping key text "rep|op:rs:disp;...": local phases group only
+/// with equal text, and groups are ordered by it.
+void appendSignature(std::string& out, const std::vector<CycleOp>& ops,
+                     std::uint64_t rep) {
+  util::appendChars(out, rep);
+  out += '|';
   for (const auto& op : ops) {
-    sig << op.op << ':' << op.rsBytes << ':' << op.dispUnits << ';';
+    out += op.op;
+    out += ':';
+    util::appendChars(out, op.rsBytes);
+    out += ':';
+    util::appendChars(out, op.dispUnits);
+    out += ';';
   }
-  return sig.str();
 }
 
 /// Split one segment at tick gaps into local phases.
@@ -50,35 +78,16 @@ void splitSegment(const Segment& seg, std::uint64_t maxGap,
       ++end;
     }
     LocalPhase lp;
-    lp.idP = seg.idP;
-    lp.idF = seg.idF;
-    lp.rep = end - m;
-    lp.ops = seg.ops;
-    for (auto& op : lp.ops) {
-      op.initOffsetUnits = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(op.initOffsetUnits) +
-          op.dispUnits * static_cast<std::int64_t>(m));
-    }
-    lp.firstTick = seg.repFirstTicks[m];
-    lp.lastTick = seg.repLastTicks[end - 1];
-    lp.startTime = seg.repStartTimes[m];
-    lp.endTime = seg.repEndTimes[end - 1];
-    const std::size_t k = seg.ops.size();
-    for (std::uint64_t i = m; i < end; ++i) {
-      lp.ioDuration += seg.repIoDurations[i];
-      for (std::size_t j = 0; j < k; ++j) {
-        lp.opWindows.push_back(
-            seg.opWindows[static_cast<std::size_t>(i) * k + j]);
-      }
-    }
-    lp.signature = signatureOf(lp.ops, lp.rep);
-    out.push_back(std::move(lp));
+    lp.seg = &seg;
+    lp.repBegin = m;
+    lp.repEnd = end;
+    out.push_back(lp);
     m = end;
   }
 }
 
-/// Total length of the union of wall windows.
-double unionSeconds(std::vector<std::pair<double, double>> windows) {
+/// Total length of the union of wall windows (sorts them in place).
+double unionSeconds(std::vector<std::pair<double, double>>& windows) {
   if (windows.empty()) return 0;
   std::sort(windows.begin(), windows.end());
   double total = 0;
@@ -123,127 +132,158 @@ std::string Phase::opTypeLabel() const {
 std::vector<Phase> detectPhases(const trace::TraceData& data,
                                 const PhaseDetectionOptions& options) {
   IOP_PROFILE_SCOPE("phase.group");
-  // 1. Per (rank, file): segment + tick-split into local phases.
-  std::vector<LocalPhase> locals;
+  // 1. Per (rank, file): segment, then tick-split into local phases.
+  // Locals come out rank-major, file- then tick-ordered within a rank.
+  std::vector<Segment> segments;
   for (int rank = 0; rank < data.np; ++rank) {
     const auto& records = data.perRank[static_cast<std::size_t>(rank)];
     // Partition this rank's records by file, preserving order; drop
     // metadata noise when a threshold is configured.
-    std::map<int, std::vector<trace::Record>> byFile;
+    std::map<int, std::vector<const trace::Record*>> byFile;
     for (const auto& r : records) {
       if (r.requestBytes < options.ignoreOpsSmallerThan) continue;
-      byFile[r.fileId].push_back(r);
+      byFile[r.fileId].push_back(&r);
     }
-    for (auto& [fileId, fileRecords] : byFile) {
-      auto segments = segmentRecords(fileRecords, options.segmentation);
-      for (const auto& seg : segments) {
-        splitSegment(seg, options.maxIntraPhaseTickGap, locals);
+    for (const auto& [fileId, fileRecords] : byFile) {
+      auto segs = segmentRecordView(fileRecords, options.segmentation);
+      std::move(segs.begin(), segs.end(), std::back_inserter(segments));
+    }
+  }
+  std::vector<LocalPhase> locals;
+  for (const auto& seg : segments) {
+    splitSegment(seg, options.maxIntraPhaseTickGap, locals);
+  }
+
+  // 2. Intern signature texts; a signature's id becomes its rank in text
+  // order, so (file, signature, occurrence) keys compare as integers.
+  std::map<std::string, std::size_t> textIds;
+  {
+    std::string text;
+    for (auto& lp : locals) {
+      text.clear();
+      appendSignature(text, lp.seg->ops, lp.rep());
+      auto it = textIds.find(text);
+      if (it == textIds.end()) {
+        it = textIds.emplace(text, textIds.size()).first;
       }
+      lp.signature = it->second;
     }
   }
-
-  // 2. Assign per-rank occurrence counters so the k-th local phase with a
-  // given signature groups with the other ranks' k-th occurrence.
-  std::map<std::pair<int, std::string>, std::size_t> occurrenceCounter;
-  // locals are currently ordered rank-major, tick-minor within each rank,
-  // which is exactly what the occurrence counter needs.
-  for (auto& lp : locals) {
-    auto key = std::make_pair(
-        lp.idP, std::to_string(lp.idF) + "|" + lp.signature);
-    lp.occurrence = occurrenceCounter[key]++;
+  std::vector<std::size_t> textRank(textIds.size());
+  {
+    std::size_t rank = 0;
+    for (const auto& entry : textIds) textRank[entry.second] = rank++;
   }
 
-  // 3. Group by (file, signature, occurrence).
-  std::map<std::tuple<int, std::string, std::size_t>, std::vector<LocalPhase>>
-      groups;
-  for (auto& lp : locals) {
-    groups[{lp.idF, lp.signature, lp.occurrence}].push_back(std::move(lp));
+  // 3. Assign per-rank occurrence counters so the k-th local phase with a
+  // given (file, signature) groups with the other ranks' k-th occurrence.
+  std::map<std::pair<int, std::size_t>, std::size_t> occurrenceCounter;
+  for (std::size_t i = 0; i < locals.size(); ++i) {
+    auto& lp = locals[i];
+    if (i > 0 && lp.idP() != locals[i - 1].idP()) occurrenceCounter.clear();
+    lp.signature = textRank[lp.signature];
+    lp.occurrence = occurrenceCounter[{lp.idF(), lp.signature}]++;
   }
 
-  // 3b. Temporal validation: members of one phase must overlap in logical
-  // time (the paper's traces show +-1 tick of skew).  If a group's members
+  // 4. Group by (file, signature, occurrence), members in tick order.
+  // Temporal validation: members of one phase must overlap in logical time
+  // (the paper's traces show +-1 tick of skew).  If a group's members
   // cluster at distant ticks — ranks executing the same pattern at truly
   // different times — split it into tick clusters separated by more than
-  // the tolerance.
-  std::vector<std::vector<LocalPhase>> memberSets;
-  for (auto& [key, members] : groups) {
-    std::sort(members.begin(), members.end(),
-              [](const LocalPhase& a, const LocalPhase& b) {
-                return a.firstTick < b.firstTick;
-              });
-    std::vector<LocalPhase> cluster;
-    for (auto& lp : members) {
-      if (!cluster.empty() &&
-          lp.firstTick - cluster.back().firstTick >
-              options.crossRankTickTolerance) {
-        memberSets.push_back(std::move(cluster));
-        cluster.clear();
-      }
-      cluster.push_back(std::move(lp));
-    }
-    if (!cluster.empty()) memberSets.push_back(std::move(cluster));
-  }
+  // the tolerance.  A rank has at most one member per group, so idP
+  // completes a total order.
+  auto groupKey = [&locals](std::size_t i) {
+    const LocalPhase& lp = locals[i];
+    return std::make_tuple(lp.idF(), lp.signature, lp.occurrence);
+  };
+  std::vector<std::size_t> order(locals.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::tuple_cat(groupKey(a), std::make_tuple(locals[a].firstTick(),
+                                                       locals[a].idP())) <
+           std::tuple_cat(groupKey(b), std::make_tuple(locals[b].firstTick(),
+                                                       locals[b].idP()));
+  });
 
-  // 4. Build global phases.
+  // 5. Build global phases, one per tick cluster, members in rank order.
   std::vector<Phase> phases;
-  for (auto& members : memberSets) {
+  std::vector<std::pair<double, double>> windows;
+  auto buildPhase = [&](std::span<std::size_t> members) {
     std::sort(members.begin(), members.end(),
-              [](const LocalPhase& a, const LocalPhase& b) {
-                return a.idP < b.idP;
+              [&locals](std::size_t a, std::size_t b) {
+                return locals[a].idP() < locals[b].idP();
               });
+    const LocalPhase& first = locals[members.front()];
     Phase phase;
-    phase.idF = members.front().idF;
-    phase.rep = members.front().rep;
-    phase.firstTick = members.front().firstTick;
-    phase.lastTick = members.front().lastTick;
-    phase.startTime = members.front().startTime;
-    phase.endTime = members.front().endTime;
+    phase.idF = first.idF();
+    phase.rep = first.rep();
+    phase.firstTick = first.firstTick();
+    phase.lastTick = first.lastTick();
+    phase.startTime = first.startTime();
+    phase.endTime = first.endTime();
     const std::uint64_t etype =
         data.fileMeta(phase.idF) != nullptr
             ? data.fileMeta(phase.idF)->etypeBytes
             : 1;
-    for (const auto& op : members.front().ops) {
+    const std::size_t k = first.seg->ops.size();
+    for (const auto& op : first.seg->ops) {
       PhaseOp po;
       po.op = op.op;
       po.rsBytes = op.rsBytes;
       po.dispBytes = op.dispUnits * static_cast<std::int64_t>(etype);
+      po.initOffsetBytes.reserve(members.size());
       phase.ops.push_back(std::move(po));
     }
-    for (const auto& lp : members) {
-      phase.ranks.push_back(lp.idP);
-      phase.firstTick = std::min(phase.firstTick, lp.firstTick);
-      phase.lastTick = std::max(phase.lastTick, lp.lastTick);
-      phase.startTime = std::min(phase.startTime, lp.startTime);
-      phase.endTime = std::max(phase.endTime, lp.endTime);
-      phase.sumIoDuration += lp.ioDuration;
+    phase.ranks.reserve(members.size());
+    windows.clear();
+    for (const std::size_t idx : members) {
+      const LocalPhase& lp = locals[idx];
+      const double ioDuration = lp.ioDuration();
+      phase.ranks.push_back(lp.idP());
+      phase.firstTick = std::min(phase.firstTick, lp.firstTick());
+      phase.lastTick = std::max(phase.lastTick, lp.lastTick());
+      phase.startTime = std::min(phase.startTime, lp.startTime());
+      phase.endTime = std::max(phase.endTime, lp.endTime());
+      phase.sumIoDuration += ioDuration;
       phase.maxRankIoDuration = std::max(phase.maxRankIoDuration,
-                                         lp.ioDuration);
-      for (std::size_t j = 0; j < lp.ops.size(); ++j) {
-        phase.ops[j].initOffsetBytes.push_back(lp.ops[j].initOffsetUnits *
+                                         ioDuration);
+      for (std::size_t j = 0; j < k; ++j) {
+        phase.ops[j].initOffsetBytes.push_back(lp.initOffsetUnits(j) *
                                                etype);
       }
+      const auto& opWindows = lp.seg->opWindows;
+      windows.insert(windows.end(),
+                     opWindows.begin() +
+                         static_cast<std::ptrdiff_t>(lp.repBegin * k),
+                     opWindows.begin() +
+                         static_cast<std::ptrdiff_t>(lp.repEnd * k));
     }
-    std::vector<std::pair<double, double>> allWindows;
-    for (const auto& lp : members) {
-      allWindows.insert(allWindows.end(), lp.opWindows.begin(),
-                        lp.opWindows.end());
-    }
-    phase.ioUnionSeconds = unionSeconds(std::move(allWindows));
+    phase.ioUnionSeconds = unionSeconds(windows);
     std::uint64_t cycleBytes = 0;
     for (const auto& op : phase.ops) cycleBytes += op.rsBytes;
     phase.weightBytes = static_cast<std::uint64_t>(phase.ranks.size()) *
                         phase.rep * cycleBytes;
     phases.push_back(std::move(phase));
+  };
+  std::size_t clusterBegin = 0;
+  for (std::size_t i = 1; i <= order.size(); ++i) {
+    if (i < order.size() && groupKey(order[i]) == groupKey(order[i - 1]) &&
+        locals[order[i]].firstTick() - locals[order[i - 1]].firstTick() <=
+            options.crossRankTickTolerance) {
+      continue;
+    }
+    buildPhase(std::span(order).subspan(clusterBegin, i - clusterBegin));
+    clusterBegin = i;
   }
 
-  // 5. Order by first tick (stable on weight/file for determinism).
+  // 6. Order by first tick (stable on weight/file for determinism).
   std::sort(phases.begin(), phases.end(), [](const Phase& a, const Phase& b) {
     if (a.firstTick != b.firstTick) return a.firstTick < b.firstTick;
     if (a.idF != b.idF) return a.idF < b.idF;
     return a.weightBytes > b.weightBytes;
   });
 
-  // 6. Assign ids, then families and offset functions.  Families group
+  // 7. Assign ids, then families and offset functions.  Families group
   // consecutive same-signature phases *of the same file*, so interleaved
   // multi-file timelines (e.g. a restart record between history records)
   // do not break a file's progression.

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -23,20 +22,36 @@ std::string traceFileName(const std::string& app, int rank) {
   return app + ".trace." + std::to_string(rank);
 }
 
+/// Format the whole rank file into one buffer and write it at once.
 void writeRankFile(const fs::path& path,
                    const std::vector<Record>& records) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path.string());
-  out << "# iop-trace v1\n";
-  out << "# IdP IdF MPI-Operation Offset tick RequestSize time duration\n";
-  char buf[256];
+  std::string text =
+      "# iop-trace v1\n"
+      "# IdP IdF MPI-Operation Offset tick RequestSize time duration\n";
+  text.reserve(text.size() + records.size() * 96);  // lines run 60-90 bytes
+  using util::appendChars;
   for (const auto& r : records) {
-    std::snprintf(buf, sizeof buf,
-                  "%d %d %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %.9f %.9f\n",
-                  r.rank, r.fileId, r.op.c_str(), r.offsetUnits, r.tick,
-                  r.requestBytes, r.time, r.duration);
-    out << buf;
+    appendChars(text, r.rank);
+    text += ' ';
+    appendChars(text, r.fileId);
+    text += ' ';
+    text += r.op;
+    text += ' ';
+    appendChars(text, r.offsetUnits);
+    text += ' ';
+    appendChars(text, r.tick);
+    text += ' ';
+    appendChars(text, r.requestBytes);
+    text += ' ';
+    appendChars(text, r.time, std::chars_format::fixed, 9);
+    text += ' ';
+    appendChars(text, r.duration, std::chars_format::fixed, 9);
+    text += '\n';
   }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open " + path.string());
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
   if (!out) throw std::runtime_error("write failed: " + path.string());
 }
 
@@ -210,6 +225,19 @@ TraceData readTraces(const fs::path& dir, const std::string& appName) {
   if (!meta) {
     throw std::runtime_error("cannot open meta file for " + appName);
   }
+  // std::sto* throw bare "stoi"/out-of-range on hostile tokens; every
+  // error is rewrapped with the file:line so the bad record is findable.
+  auto malformed = [&metaPath](std::size_t lineNo, const std::string& why) {
+    return std::runtime_error(metaPath.string() + ":" +
+                              std::to_string(lineNo) +
+                              ": malformed meta record (" + why + ")");
+  };
+  struct Comm {
+    int rank;
+    std::uint64_t events;
+    std::size_t lineNo;
+  };
+  std::vector<Comm> comms;
   std::string line;
   std::size_t lineNo = 0;
   while (std::getline(meta, line)) {
@@ -217,8 +245,6 @@ TraceData readTraces(const fs::path& dir, const std::string& appName) {
     auto trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     auto tokens = util::splitWhitespace(trimmed);
-    // std::sto* throw bare "stoi"/out-of-range on hostile tokens; rewrap
-    // everything with the file:line so the bad record is findable.
     try {
       if (tokens[0] == "np") {
         data.np = std::stoi(tokens.at(1));
@@ -241,25 +267,30 @@ TraceData readTraces(const fs::path& dir, const std::string& appName) {
         if (tokens.size() > 12) f.sawNonBlocking = tokens[12] == "1";
         data.files.push_back(std::move(f));
       } else if (tokens[0] == "comm") {
-        const auto rank =
-            static_cast<std::size_t>(std::stoul(tokens.at(1)));
-        if (data.commEventsPerRank.size() <= rank) {
-          data.commEventsPerRank.resize(rank + 1, 0);
-        }
-        data.commEventsPerRank[rank] = std::stoull(tokens.at(2));
+        // Checked against np once the whole file is read: np may follow.
+        comms.push_back(
+            {std::stoi(tokens.at(1)), std::stoull(tokens.at(2)), lineNo});
       }
     } catch (const std::exception& e) {
-      throw std::runtime_error(metaPath.string() + ":" +
-                               std::to_string(lineNo) +
-                               ": malformed meta record (" + e.what() + ")");
+      throw malformed(lineNo, e.what());
     }
   }
   if (data.np <= 0) throw std::runtime_error("meta file missing np");
-  data.perRank.resize(static_cast<std::size_t>(data.np));
-  data.commEventsPerRank.resize(static_cast<std::size_t>(data.np), 0);
+  for (const auto& comm : comms) {
+    if (comm.rank < 0 || comm.rank >= data.np) {
+      throw malformed(comm.lineNo, "comm rank " + std::to_string(comm.rank) +
+                                       " outside [0, np)");
+    }
+  }
+  // Nothing is sized from np before its rank files turn up, so a hostile
+  // np fails on the first missing file instead of allocating.
   for (int rank = 0; rank < data.np; ++rank) {
-    data.perRank[static_cast<std::size_t>(rank)] =
-        readRankFile(dir / traceFileName(appName, rank));
+    data.perRank.push_back(readRankFile(dir / traceFileName(appName, rank)));
+  }
+  data.commEventsPerRank.assign(static_cast<std::size_t>(data.np), 0);
+  for (const auto& comm : comms) {
+    data.commEventsPerRank[static_cast<std::size_t>(comm.rank)] =
+        comm.events;
   }
   return data;
 }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <random>
 
 #include "core/compare.hpp"
 #include "core/iomodel.hpp"
@@ -195,6 +196,163 @@ TEST(Segment, TimesAndDurationsAggregatedPerRep) {
   EXPECT_DOUBLE_EQ(segs[0].repIoDurations[0], 0.75);
   EXPECT_DOUBLE_EQ(segs[0].repStartTimes[1], 11.0);
   EXPECT_DOUBLE_EQ(segs[0].repEndTimes[1], 11.75);
+}
+
+// ------------------------------------------- segmentation reference model
+//
+// segmentRecords answers "how many times does the k-cycle starting at i
+// repeat?" from run-length tables.  The reference below answers it the
+// direct way — scan forward block by block, comparing (op, rs) and the
+// per-position offset deltas — and runs the same DP and greedy choices on
+// top, so any disagreement is a table bug.
+
+/// Largest c such that r[i, i + c*k) is c repetitions of the cycle
+/// r[i, i+k) with per-position constant offset deltas.
+std::uint64_t referenceMaxCycles(const std::vector<Record>& r, std::size_t i,
+                                 std::size_t k) {
+  std::uint64_t c = 1;
+  for (;;) {
+    const std::size_t base = i + static_cast<std::size_t>(c) * k;
+    if (base + k > r.size()) return c;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Record& now = r[base + j];
+      if (now.op != r[i + j].op || now.requestBytes != r[i + j].requestBytes ||
+          now.offsetUnits - r[base + j - k].offsetUnits !=
+              r[i + k + j].offsetUnits - r[i + j].offsetUnits) {
+        return c;
+      }
+    }
+    ++c;
+  }
+}
+
+/// (cycle length, repetitions) of each segment, front to back.
+using Cuts = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
+Cuts referenceSegmentation(const std::vector<Record>& r,
+                           const SegmentOptions& options) {
+  const std::size_t n = r.size();
+  const auto maxK = static_cast<std::size_t>(options.maxCycle);
+  Cuts cuts;
+  if (n > options.dpLimit) {  // greedy: longest coverage, shortest cycle
+    for (std::size_t i = 0; i < n;) {
+      std::size_t bestK = 1;
+      std::uint64_t bestC = 1;
+      for (std::size_t k = 1; k <= maxK && i + k <= n; ++k) {
+        const std::uint64_t c = referenceMaxCycles(r, i, k);
+        if ((k == 1 || c >= 2) && c * k > bestC * bestK) {
+          bestK = k;
+          bestC = c;
+        }
+      }
+      cuts.emplace_back(bestK, bestC);
+      i += bestK * bestC;
+    }
+    return cuts;
+  }
+  // DP: fewest segments, then largest sum of squared lengths, then the
+  // shortest cycle.
+  struct Best {
+    std::uint64_t segments = ~std::uint64_t{0};
+    std::uint64_t score = 0;
+    std::size_t k = 1;
+    std::uint64_t c = 1;
+  };
+  std::vector<Best> best(n + 1);
+  best[n] = Best{0, 0, 1, 0};
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t k = 1; k <= maxK && i + k <= n; ++k) {
+      const std::uint64_t cMax = referenceMaxCycles(r, i, k);
+      for (std::uint64_t c = k == 1 ? 1 : 2; c <= cMax; ++c) {
+        const Best& next = best[i + c * k];
+        const std::uint64_t segs = next.segments + 1;
+        const std::uint64_t score = next.score + c * k * c * k;
+        Best& cur = best[i];
+        if (segs < cur.segments ||
+            (segs == cur.segments &&
+             (score > cur.score || (score == cur.score && k < cur.k)))) {
+          cur = Best{segs, score, k, c};
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; i += best[i].k * best[i].c) {
+    cuts.emplace_back(best[i].k, best[i].c);
+  }
+  return cuts;
+}
+
+/// One rank's stream over a small (op, rs) alphabet: periodic cycles of
+/// length 1..6, some with per-record offset perturbations, mixed with
+/// stretches of random records and random offsets.
+std::vector<Record> randomStream(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  static const char* kOps[] = {"MPI_File_read_at", "MPI_File_write_at"};
+  std::vector<Record> recs;
+  std::uint64_t tick = 1;
+  const std::uint64_t target = 1 + below(90);
+  while (recs.size() < target) {
+    const std::uint64_t shape = below(3);
+    const std::size_t k = 1 + below(6);
+    std::vector<std::pair<int, std::uint64_t>> cycle;
+    for (std::size_t j = 0; j < k; ++j) {
+      cycle.emplace_back(static_cast<int>(below(2)), 1 + below(2));
+    }
+    const std::uint64_t reps = 1 + below(8);
+    const std::uint64_t start = below(4) * 64;
+    const std::uint64_t disp = below(3) * 8;
+    for (std::uint64_t m = 0; m < reps; ++m) {
+      for (std::size_t j = 0; j < k; ++j) {
+        std::uint64_t offset = start + j * 1000 + m * disp;
+        if (shape == 1 && below(5) == 0) offset += 1 + below(3);
+        if (shape == 2) offset = below(4) * 8;  // random offsets
+        const auto& [op, rs] = shape == 2 && below(2) == 0
+                                   ? std::pair<int, std::uint64_t>(
+                                         static_cast<int>(below(2)),
+                                         1 + below(2))
+                                   : cycle[j];
+        recs.push_back(mkRec(0, 1, kOps[op], offset, tick++, rs));
+      }
+    }
+  }
+  return recs;
+}
+
+TEST(SegmentEquivalence, MatchesBruteForceReferenceOnRandomStreams) {
+  std::uint64_t segmentsSeen = 0;
+  std::uint64_t multiOpSeen = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const auto recs = randomStream(seed);
+    for (int maxCycle = 1; maxCycle <= 6; ++maxCycle) {
+      for (const std::size_t dpLimit : {std::size_t{4000}, std::size_t{8}}) {
+        SegmentOptions options;
+        options.maxCycle = maxCycle;
+        options.dpLimit = dpLimit;
+        const Cuts want = referenceSegmentation(recs, options);
+        const auto got = segmentRecords(recs, options);
+        ASSERT_EQ(got.size(), want.size())
+            << "seed " << seed << " maxCycle " << maxCycle << " dpLimit "
+            << dpLimit;
+        std::size_t at = 0;
+        for (std::size_t s = 0; s < got.size(); ++s) {
+          const auto [k, c] = want[s];
+          ASSERT_EQ(got[s].ops.size(), k) << "seed " << seed << " seg " << s;
+          ASSERT_EQ(got[s].rep, c) << "seed " << seed << " seg " << s;
+          for (std::size_t j = 0; j < k; ++j) {
+            EXPECT_EQ(got[s].ops[j].initOffsetUnits,
+                      recs[at + j].offsetUnits);
+          }
+          at += k * c;
+          ++segmentsSeen;
+          if (k > 1) ++multiOpSeen;
+        }
+        EXPECT_EQ(at, recs.size());
+      }
+    }
+  }
+  // The generator must actually exercise multi-op cycles.
+  EXPECT_GT(multiOpSeen, segmentsSeen / 50);
 }
 
 // ------------------------------------------------------------ OffsetFn

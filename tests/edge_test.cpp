@@ -370,6 +370,77 @@ TEST(ModelEdge, LoadRejectsMissingAndMalformedFiles) {
   std::filesystem::remove(path);
 }
 
+/// IOModel::load must reject `text` with a diagnostic naming `where`
+/// (path:line) and carrying `why`.
+void expectModelLoadError(const std::string& text, const std::string& where,
+                          const std::string& why) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "iop_edge_hostile.model";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  try {
+    core::IOModel::load(path);
+    ADD_FAILURE() << "loaded a damaged model:\n" << text;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path.string() + ":" + where + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+  std::filesystem::remove(path);
+}
+
+constexpr const char* kModelHead =
+    "# iop-model v1\n"
+    "app m\n"
+    "np 2\n"
+    "phase 1 1 1 0 0 1 1 0 1 1 1 1 200\n"
+    "ranks 1 0 1\n";
+
+TEST(ModelEdge, LoadRejectsOpsWithTooFewOffsetsForTheirRanks) {
+  // The estimators index initOffsetBytes by rank position; one offset for
+  // two ranks would be read out of bounds.
+  expectModelLoadError(std::string(kModelHead) +
+                           "op 1 0 MPI_File_write 100 0 1 0 100 0 0\n",
+                       "6", "1 initial offsets for the 2 ranks of phase 1");
+}
+
+TEST(ModelEdge, LoadRejectsLinesNamingUnknownPhases) {
+  expectModelLoadError(std::string(kModelHead) + "ranks 7 0 1\n", "6",
+                       "unknown phase 7");
+  expectModelLoadError(std::string(kModelHead) +
+                           "op 7 0 MPI_File_write 100 0 1 0 100 0 0 100\n",
+                       "6", "unknown phase 7");
+  expectModelLoadError(std::string(kModelHead) +
+                           "phase 1 1 1 0 0 1 1 0 1 1 1 1 200\n",
+                       "6", "duplicate phase 1");
+}
+
+TEST(ModelEdge, LoadNamesTheLineOfABadNumber) {
+  expectModelLoadError("app m\nnp 2\nphase 1 1 banana\n", "3",
+                       "malformed model record");
+  expectModelLoadError("app m\nnp 2\nphase 1 1 1\n", "3",
+                       "malformed model record");
+}
+
+TEST(ModelEdge, LoadAcceptsASavedModelUnchanged) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "iop_edge_valid.model";
+  {
+    std::ofstream out(path);
+    out << kModelHead << "op 1 0 MPI_File_write 100 0 1 0 100 0 0 100\n";
+  }
+  const auto model = core::IOModel::load(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(model.phases().size(), 1u);
+  EXPECT_EQ(model.phases()[0].ranks, (std::vector<int>{0, 1}));
+  EXPECT_EQ(model.phases()[0].ops[0].initOffsetBytes,
+            (std::vector<std::uint64_t>{0, 100}));
+}
+
 TEST(ModelEdge, EmptyTraceYieldsEmptyModel) {
   trace::TraceData data;
   data.appName = "empty";

@@ -185,6 +185,29 @@ TEST(Fsck, QuarantinesTornModelAndCapture) {
   EXPECT_TRUE(sweep::fsckCampaignStore(dir.path(), deep).clean());
 }
 
+TEST(Fsck, QuarantinesAModelWithTooFewOffsetsForItsRanks) {
+  // A model that parses line by line but whose op line lost its last
+  // initial offset: the estimators would index past the end, so fsck must
+  // quarantine it like a torn one.
+  TempDir dir("short_op");
+  const auto campaign = populateStore(dir.path());
+  const auto model = dir.path() / "models" / "0123456789abcdef.model";
+  std::string text = campaign.models.front().model.renderText();
+  const auto op = text.find("\nop ");
+  ASSERT_NE(op, std::string::npos);
+  const auto lineEnd = text.find('\n', op + 1);
+  const auto lastField = text.rfind(' ', lineEnd);
+  ASSERT_GT(lastField, op);
+  text.erase(lastField, lineEnd - lastField);
+  writeText(model, text);
+
+  const auto report = sweep::fsckCampaignStore(dir.path(), {});
+  EXPECT_EQ(report.exitCode(), 1);
+  EXPECT_TRUE(hasDamage(report, sweep::FsckDamage::TornModel));
+  EXPECT_FALSE(std::filesystem::exists(model));
+  EXPECT_TRUE(sweep::fsckCampaignStore(dir.path(), {}).clean());
+}
+
 TEST(Fsck, TornCampaignPrefixQuarantinedDifferentCampaignKept) {
   TempDir dir("campaign");
   populateStore(dir.path());

@@ -12,7 +12,9 @@
 
 #include <set>
 
+#include "analysis/runner.hpp"
 #include "analysis/synthesize.hpp"
+#include "apps/registry.hpp"
 #include "configs/configs.hpp"
 #include "core/iomodel.hpp"
 #include "ior/ior.hpp"
@@ -226,6 +228,145 @@ TEST_P(PhaseProperties, TraceFileRoundTripPreservesModel) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSchedules, PhaseProperties,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// ------------------------------------------------------------ model digest
+//
+// Golden FNV-1a digests of IOModel::renderText — the model's canonical
+// content identity, which the sweep cache hashes — over models extracted
+// from traced registry applications, from the random schedules above and
+// from perturbed multi-file traces.  Captured before segmentation moved to
+// run-length cycle tables and phase grouping to index sorts: any change to
+// phase ids, families, member order, offsets or measured times moves them.
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+
+/// Random SPMD-ish trace over two files and a small (op, rs) alphabet:
+/// every rank runs the same cycle plan, but offsets may drift per rank,
+/// single records are perturbed and tick gaps vary — the shapes that
+/// exercise multi-op cycles, tick splitting, partial phases and ties in
+/// the phase order.
+trace::TraceData perturbedTrace(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const int np = 1 + static_cast<int>(rng.below(6));
+  static const char* kOps[] = {"MPI_File_write_at", "MPI_File_read_at",
+                               "MPI_File_write_at_all"};
+  static const std::uint64_t kSizes[] = {4 * KiB, 64 * KiB};
+
+  struct Block {
+    int file;
+    std::vector<std::pair<int, int>> cycle;  // (op, size) indices
+    std::uint64_t rep;
+    std::uint64_t tickGap;
+    bool drift;
+  };
+  std::vector<Block> plan(1 + rng.below(5));
+  for (auto& block : plan) {
+    block.file = 1 + static_cast<int>(rng.below(2));
+    const std::uint64_t k = 1 + rng.below(3);
+    for (std::uint64_t j = 0; j < k; ++j) {
+      block.cycle.emplace_back(static_cast<int>(rng.below(3)),
+                               static_cast<int>(rng.below(2)));
+    }
+    block.rep = 1 + rng.below(12);
+    block.tickGap = rng.below(3) == 0 ? 2 : 1;
+    block.drift = rng.below(4) == 0;
+  }
+
+  trace::TraceData data;
+  data.appName = "perturbed-" + std::to_string(seed);
+  data.np = np;
+  data.perRank.resize(static_cast<std::size_t>(np));
+  data.commEventsPerRank.assign(static_cast<std::size_t>(np), 0);
+  for (int f = 1; f <= 2; ++f) {
+    trace::FileMeta meta;
+    meta.fileId = f;
+    meta.path = "perturbed" + std::to_string(f) + ".dat";
+    meta.etypeBytes = f == 2 ? 8 : 1;
+    meta.np = np;
+    data.files.push_back(meta);
+  }
+  for (int r = 0; r < np; ++r) {
+    std::uint64_t tick = 1;
+    double time = 0;
+    std::uint64_t offset[3] = {0, 0, 0};
+    auto& recs = data.perRank[static_cast<std::size_t>(r)];
+    for (const auto& block : plan) {
+      for (std::uint64_t m = 0; m < block.rep; ++m) {
+        for (const auto& [op, size] : block.cycle) {
+          trace::Record rec;
+          rec.rank = r;
+          rec.fileId = block.file;
+          rec.op = kOps[op];
+          rec.requestBytes = kSizes[size];
+          rec.offsetUnits =
+              offset[block.file] +
+              static_cast<std::uint64_t>(r) * 1024 * KiB +
+              (block.drift ? static_cast<std::uint64_t>(r) * m * 4 : 0);
+          if (rng.below(16) == 0) rec.offsetUnits += 512;  // perturbation
+          offset[block.file] += rec.requestBytes;
+          rec.tick = tick;
+          rec.time = time;
+          rec.duration = 0.01 * static_cast<double>(1 + rng.below(5));
+          recs.push_back(std::move(rec));
+          tick += block.tickGap;
+          time += 0.05;
+        }
+      }
+      tick += rng.below(3);
+      time += 0.5;
+    }
+  }
+  return data;
+}
+
+TEST(ModelDigest, RegistryAppsAtSmallNp) {
+  // Every registry application, traced at np=4 on configuration A with
+  // parameters small enough for the sanitizer flavors.
+  const std::vector<std::pair<std::string, apps::AppParams>> cases = {
+      {"btio", {{"class", "A"}}},
+      {"btio", {{"class", "A"}, {"subtype", "simple"}}},
+      {"madbench2", {{"kpix", "2"}}},
+      {"roms", {{"steps", "20"}}},
+      {"flash-io", {{"unknowns", "4"}}},
+      {"example", {}},
+  };
+  std::set<std::string> covered;
+  std::uint64_t h = kFnvOffset;
+  for (const auto& [app, params] : cases) {
+    auto cluster = configs::makeConfig(configs::ConfigId::A);
+    const auto run = analysis::runAndTrace(
+        cluster, app, apps::makeApp(app, cluster.mount, params), 4);
+    h = fnv1a(h, run.model.renderText());
+    covered.insert(app);
+  }
+  const auto known = apps::knownApps();
+  EXPECT_EQ(covered, std::set<std::string>(known.begin(), known.end()));
+  EXPECT_EQ(h, 0xdd398eb44fa9eadcULL);
+}
+
+TEST(ModelDigest, RandomSchedules) {
+  std::uint64_t h = kFnvOffset;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    h = fnv1a(h, core::extractModel(randomTrace(seed)).renderText());
+  }
+  EXPECT_EQ(h, 0x3effcae284da5947ULL);
+}
+
+TEST(ModelDigest, PerturbedMultiFileSchedules) {
+  std::uint64_t h = kFnvOffset;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    h = fnv1a(h, core::extractModel(perturbedTrace(seed)).renderText());
+  }
+  EXPECT_EQ(h, 0x97a9cdd5610be742ULL);
+}
 
 /// Synthesis round trip: model -> synthetic app -> traced model must be
 /// structurally identical.  The generator above uses collective ops too;

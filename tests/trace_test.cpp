@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -111,6 +115,60 @@ TEST(TraceFile, WriteReadRoundTrip) {
   EXPECT_EQ(loaded.files[0].etypeBytes, 40u);
   EXPECT_EQ(loaded.files[0].filetypeStride, 4u * 265302);
   EXPECT_EQ(loaded.commEventsPerRank[0], 1u);
+}
+
+TEST(TraceFile, RankFileBytesMatchPrintfFormatting) {
+  // Rank files are formatted with std::to_chars; the bytes must equal the
+  // printf("%d %d %s %" PRIu64 " %" PRIu64 " %" PRIu64 " %.9f %.9f\n")
+  // rendering earlier traces were written with, for every double shape:
+  // signed zero, rounding at the ninth decimal, carries into the integer
+  // part, large magnitudes and non-finite values.
+  const std::vector<double> values = {
+      0.0,  -0.0, 5e-10, 0.9999999995, 123456.123456789, 1e17,
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -2.5e-10, 1.5e-9, -7.0000000005, 1.7976931348623157e308};
+  TraceData data;
+  data.appName = "printf";
+  data.np = 1;
+  data.perRank.resize(1);
+  data.commEventsPerRank.assign(1, 0);
+  std::string expected =
+      "# iop-trace v1\n"
+      "# IdP IdF MPI-Operation Offset tick RequestSize time duration\n";
+  std::uint64_t n = 0;
+  for (const double time : values) {
+    for (const double duration : values) {
+      Record r;
+      r.rank = 0;
+      r.fileId = n % 3 == 0 ? -1 : 7;
+      r.op = n % 2 == 0 ? "MPI_File_write_at_all" : "MPI_File_read";
+      r.offsetUnits = n % 5 == 0 ? std::numeric_limits<std::uint64_t>::max()
+                                 : n * 4096;
+      r.tick = n;
+      r.requestBytes = n * n;
+      r.time = time;
+      r.duration = duration;
+      char line[1024];
+      std::snprintf(line, sizeof line,
+                    "%d %d %s %" PRIu64 " %" PRIu64 " %" PRIu64
+                    " %.9f %.9f\n",
+                    r.rank, r.fileId, r.op.c_str(), r.offsetUnits, r.tick,
+                    r.requestBytes, r.time, r.duration);
+      expected += line;
+      data.perRank[0].push_back(std::move(r));
+      ++n;
+    }
+  }
+  const auto dir =
+      std::filesystem::temp_directory_path() / "iop_trace_printf";
+  std::filesystem::remove_all(dir);
+  writeTraces(dir, data);
+  std::ifstream in(dir / "printf.trace.0", std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(written, expected);
 }
 
 TEST(TraceFile, ReadMissingFileThrows) {
@@ -224,6 +282,26 @@ TEST(TraceFileHostile, MalformedMetaNamesFileAndLine) {
   scratch.writeFile("h.meta",
                     "app h\nnp 1\nfile 1 data.bin 1 40\n");  // short row
   expectReadError(scratch, {"h.meta:3:", "needs at least 12 fields"});
+}
+
+TEST(TraceFileHostile, CommRanksOutsideTheProcessCountAreRejected) {
+  // Every comm rank must index one of the np rank files.  A negative rank
+  // must not wrap to SIZE_MAX, and a rank at np must not be silently
+  // dropped; both name the meta line.
+  HostileTraceDir scratch("comm");
+  scratch.writeFile("h.trace.0", "");
+  scratch.writeFile("h.trace.1", "");
+  for (const char* rank : {"-1", "18446744073709551615", "2"}) {
+    scratch.writeFile("h.meta", std::string("app h\nnp 2\ncomm 0 3\ncomm ") +
+                                    rank + " 1\n");
+    expectReadError(scratch, {"h.meta:4:", "malformed meta record"});
+  }
+  // A comm line may precede np; in range, it still lands on its rank.
+  scratch.writeFile("h.meta", "app h\ncomm 1 5\nnp 2\n");
+  const auto data = readTraces(scratch.dir(), "h");
+  ASSERT_EQ(data.commEventsPerRank.size(), 2u);
+  EXPECT_EQ(data.commEventsPerRank[0], 0u);
+  EXPECT_EQ(data.commEventsPerRank[1], 5u);
 }
 
 TEST(TraceFile, RenderTableMatchesFigure2Shape) {
