@@ -18,6 +18,17 @@ std::string num(double v) {
   return buf;
 }
 
+/// Prometheus metric name: `sweep.cell_seconds` -> `iop_sweep_cell_seconds`.
+std::string promName(const std::string& name) {
+  std::string out = "iop_";
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == ':';
+    out += ok ? c : '_';
+  }
+  return out;
+}
+
 }  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -156,6 +167,35 @@ void MetricsRegistry::saveCsv(const std::string& path) const {
     throw std::runtime_error("obs: cannot open metrics output " + path);
   }
   file << renderCsv();
+}
+
+std::string MetricsRegistry::renderProm() const {
+  std::ostringstream out;
+  for (const auto& [name, c] : counters_) {
+    const std::string prom = promName(name) + "_total";
+    out << "# TYPE " << prom << " counter\n";
+    out << prom << " " << num(c.value()) << "\n";
+  }
+  for (const auto& [name, g] : gauges_) {
+    const std::string prom = promName(name);
+    out << "# TYPE " << prom << " gauge\n";
+    out << prom << " " << num(g.value()) << "\n";
+  }
+  for (const auto& [name, h] : histograms_) {
+    const std::string prom = promName(name);
+    out << "# TYPE " << prom << " histogram\n";
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
+      cumulative += h.bucketCounts()[i];
+      out << prom << "_bucket{le=\"" << num(h.bounds()[i]) << "\"} "
+          << cumulative << "\n";
+    }
+    cumulative += h.bucketCounts().back();
+    out << prom << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
+    out << prom << "_sum " << num(h.sum()) << "\n";
+    out << prom << "_count " << h.count() << "\n";
+  }
+  return out.str();
 }
 
 std::string MetricsRegistry::renderSummary() const {

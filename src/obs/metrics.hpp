@@ -5,6 +5,12 @@
 // cost is one pointer dereference plus an add).  Rendering iterates a
 // name-ordered map, so the CSV output of a deterministic simulation is
 // byte-identical across same-seed runs — the property the obs tests pin.
+// The same registry renders as Prometheus text exposition for the live
+// campaign-engine snapshots (sweep/telemetry.hpp).
+//
+// Nothing here is thread-safe: a simulation is single-threaded, and the
+// campaign engine's telemetry serialises every update under its own
+// mutex, so no instrument pays for atomics on the simulation hot path.
 //
 // Histogram bucket semantics are Prometheus-style cumulative "le" bounds
 // made non-cumulative: a value v lands in the first bucket whose upper
@@ -47,6 +53,7 @@ class Gauge {
     if (value > max_) max_ = value;
     if (value < min_) min_ = value;
   }
+  void add(double delta) noexcept { set(value_ + delta); }
   double value() const noexcept { return value_; }
   double max() const noexcept { return max_; }
   double min() const noexcept { return min_; }
@@ -127,6 +134,11 @@ class MetricsRegistry {
   /// Deterministic CSV: `metric,kind,field,value` rows, name-ordered.
   std::string renderCsv() const;
   void saveCsv(const std::string& path) const;
+
+  /// Prometheus text exposition (version 0.0.4), name-ordered:
+  /// `<subsystem>.<quantity>` becomes `iop_<subsystem>_<quantity>`,
+  /// counters get a `_total` suffix, histogram buckets are cumulative.
+  std::string renderProm() const;
 
   /// Human-readable summary table for tool output.
   std::string renderSummary() const;

@@ -1,11 +1,14 @@
 #include "obs/runtime.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/recorder.hpp"
 #include "util/vfs.hpp"
 
 #ifdef _WIN32
@@ -16,171 +19,12 @@
 
 namespace iop::obs {
 
-namespace {
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
-/// Prometheus metric name: `sweep.cell_seconds` -> `iop_sweep_cell_seconds`.
-std::string promName(const std::string& name) {
-  std::string out = "iop_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-}  // namespace
-
-// ------------------------------------------------------------ instruments
-
-void RuntimeGauge::add(double delta) noexcept {
-  double cur = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-RuntimeHistogram::RuntimeHistogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("runtime histogram needs at least one bound");
-  }
-  if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
-    throw std::invalid_argument("runtime histogram bounds must be ascending");
-  }
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
-}
-
-void RuntimeHistogram::observe(double value) noexcept {
-  const auto it =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<std::uint64_t> RuntimeHistogram::bucketCounts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-// --------------------------------------------------------------- registry
-
-void RuntimeMetrics::checkFree(const std::string& name, char wanted) const {
-  const bool taken = (counters_.count(name) && wanted != 'c') ||
-                     (gauges_.count(name) && wanted != 'g') ||
-                     (histograms_.count(name) && wanted != 'h');
-  if (taken) {
-    throw std::logic_error("runtime metric '" + name +
-                           "' already registered with another kind");
-  }
-}
-
-RuntimeCounter& RuntimeMetrics::counter(const std::string& name) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  checkFree(name, 'c');
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<RuntimeCounter>();
-  return *slot;
-}
-
-RuntimeGauge& RuntimeMetrics::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  checkFree(name, 'g');
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<RuntimeGauge>();
-  return *slot;
-}
-
-RuntimeHistogram& RuntimeMetrics::histogram(const std::string& name,
-                                            std::vector<double> bounds) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  checkFree(name, 'h');
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<RuntimeHistogram>(std::move(bounds));
-  return *slot;
-}
-
-const RuntimeCounter* RuntimeMetrics::findCounter(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const RuntimeGauge* RuntimeMetrics::findGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const RuntimeHistogram* RuntimeMetrics::findHistogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-std::string RuntimeMetrics::renderProm() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::ostringstream out;
-  for (const auto& [name, c] : counters_) {
-    const std::string prom = promName(name) + "_total";
-    out << "# TYPE " << prom << " counter\n";
-    out << prom << " " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string prom = promName(name);
-    out << "# TYPE " << prom << " gauge\n";
-    out << prom << " " << num(g->value()) << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string prom = promName(name);
-    out << "# TYPE " << prom << " histogram\n";
-    const auto counts = h->bucketCounts();
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      cumulative += counts[i];
-      out << prom << "_bucket{le=\"" << num(h->bounds()[i]) << "\"} "
-          << cumulative << "\n";
-    }
-    cumulative += counts.back();
-    out << prom << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    out << prom << "_sum " << num(h->sum()) << "\n";
-    out << prom << "_count " << h->count() << "\n";
-  }
-  return out.str();
-}
-
-void RuntimeMetrics::writeProm(const std::filesystem::path& path) const {
-  // Scratch durability: snapshots are observational, re-written on a
-  // timer from a background thread, and must not perturb the
-  // deterministic barrier-op numbering the crash injector counts.
-  util::vfs::replaceFile(path, renderProm(),
-                         util::vfs::Durability::Scratch);
-}
-
 // ------------------------------------------------------------ snapshotter
 
-TelemetrySnapshotter::TelemetrySnapshotter(const RuntimeMetrics& metrics,
-                                           std::filesystem::path path,
-                                           int intervalMs)
-    : metrics_(metrics),
+TelemetrySnapshotter::TelemetrySnapshotter(
+    std::function<std::string()> render, std::filesystem::path path,
+    int intervalMs)
+    : render_(std::move(render)),
       path_(std::move(path)),
       intervalMs_(std::max(1, intervalMs)) {
   if (path_.has_parent_path()) {
@@ -221,8 +65,10 @@ void TelemetrySnapshotter::stop() {
 }
 
 void TelemetrySnapshotter::writeOnce() {
-  metrics_.writeProm(path_);
-  snapshots_.fetch_add(1, std::memory_order_relaxed);
+  // Scratch durability: snapshots are observational, re-written on a
+  // timer from a background thread, and must not perturb the
+  // deterministic barrier-op numbering the crash injector counts.
+  util::vfs::replaceFile(path_, render_(), util::vfs::Durability::Scratch);
 }
 
 // ---------------------------------------------------------------- journal
@@ -257,11 +103,7 @@ double RunJournal::elapsedSeconds() const {
 
 void RunJournal::event(const std::string& name,
                        const std::string& fieldsJson) {
-  char ts[40];
-  std::snprintf(ts, sizeof ts, "%.6f", elapsedSeconds());
-  std::string line = "{\"t\":";
-  line += ts;
-  line += ",\"event\":\"";
+  std::string line = ",\"event\":\"";
   line += TraceRecorder::jsonEscape(name);
   line += "\"";
   if (!fieldsJson.empty()) {
@@ -271,12 +113,13 @@ void RunJournal::event(const std::string& name,
   line += "}\n";
   std::lock_guard<std::mutex> guard(mutex_);
   if (!stream_ || disabled_.load(std::memory_order_relaxed)) return;
+  // Stamped under the lock, so `t` never decreases from line to line.
+  char ts[48];
+  std::snprintf(ts, sizeof ts, "{\"t\":%.6f", elapsedSeconds());
+  line.insert(0, ts);
   // One durable append per event: the whole point of a flight recorder
   // is that a SIGKILL loses at most the line being written.
-  if (stream_->append(line)) {
-    events_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  if (stream_->append(line)) return;
   // A journal that cannot write (ENOSPC, typically) must never take the
   // campaign down: warn once, stop journaling, let the run finish.  The
   // campaign's results are content-addressed store files — losing the
@@ -419,7 +262,9 @@ bool parseJournalLine(const std::string& line, JournalEvent& out) {
   out.name = *name;
   char* end = nullptr;
   out.t = std::strtod(t->c_str(), &end);
-  return end == t->c_str() + t->size();
+  // A non-finite `t` ("nan", "inf", "1e999") is not a time: postmortem
+  // sorts in-flight cells by it.
+  return end == t->c_str() + t->size() && std::isfinite(out.t);
 }
 
 }  // namespace
@@ -454,59 +299,6 @@ JournalParse loadJournal(const std::filesystem::path& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parseJournal(buffer.str());
-}
-
-// -------------------------------------------------------------- exec trace
-
-ExecTrace::ExecTrace() : epoch_(std::chrono::steady_clock::now()) {}
-
-double ExecTrace::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-int ExecTrace::workerTrack(std::size_t worker) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return recorder_.track(TrackKind::Worker,
-                         "worker " + std::to_string(worker));
-}
-
-int ExecTrace::controlTrack() {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return recorder_.track(TrackKind::Worker, "executor");
-}
-
-void ExecTrace::span(int tid, const std::string& name,
-                     const std::string& cat, double beginSec, double endSec,
-                     std::string argsJson) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  recorder_.span(TrackKind::Worker, tid, name, cat, beginSec, endSec,
-                 std::move(argsJson));
-}
-
-void ExecTrace::instant(int tid, const std::string& name,
-                        const std::string& cat, double atSec,
-                        std::string argsJson) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  recorder_.instant(TrackKind::Worker, tid, name, cat, atSec,
-                    std::move(argsJson));
-}
-
-void ExecTrace::counterSample(int tid, const std::string& name, double atSec,
-                              double value) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  recorder_.counterSample(TrackKind::Worker, tid, name, atSec, value);
-}
-
-std::size_t ExecTrace::eventCount() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return recorder_.eventCount();
-}
-
-void ExecTrace::saveJson(const std::string& path) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  recorder_.saveJson(path);
 }
 
 }  // namespace iop::obs

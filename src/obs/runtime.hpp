@@ -1,15 +1,12 @@
 // Wall-clock runtime telemetry: the operational counterpart of the
 // simulated-time sinks in hub.hpp.
 //
-// Three pieces, all safe to share between threads:
+// Two pieces, both safe to share between threads:
 //
-//  * RuntimeMetrics — a lock-cheap registry of atomic counters, gauges
-//    and fixed-bucket latency histograms.  Registration takes a mutex
-//    once; after that every increment is a relaxed atomic op on a stable
-//    address, so instrumenting a hot path costs one add.  Rendered as
-//    Prometheus text exposition (name-ordered, deterministic for a given
-//    state), optionally snapshotted to a file on a timer by
-//    TelemetrySnapshotter.
+//  * TelemetrySnapshotter — a timer thread that atomically rewrites a
+//    file with a rendered snapshot (Prometheus text exposition of the
+//    campaign engine's MetricsRegistry, in practice), so a scraper or a
+//    human tailing the file never sees a partial state.
 //
 //  * RunJournal — the flight recorder: an append-only JSONL event stream
 //    ({"t":<seconds since open>,"event":...,...}), one fflush()ed line
@@ -17,22 +14,17 @@
 //    line.  loadJournal()/parseJournal() read a journal back tolerantly
 //    (torn tails are counted, not fatal) for postmortem reconstruction.
 //
-//  * ExecTrace — a mutex-guarded TraceRecorder on a wall-clock timebase
-//    (seconds since construction) with one track per executor worker, so
-//    the *execution* of a campaign exports to the same Chrome/Perfetto
-//    JSON as its simulated-time traces.
-//
-// None of this may perturb results: every instrument is write-only from
-// the instrumented code's point of view, and nothing here is consulted
-// by any decision the sweep executor or the simulation makes.
+// sweep::SweepTelemetry (sweep/telemetry.hpp) owns one of each, plus the
+// metrics registry and the execution trace they observe.  None of this
+// may perturb results: nothing here is consulted by any decision the
+// sweep executor or the simulation makes.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
-#include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,125 +32,28 @@
 #include <thread>
 #include <vector>
 
-#include "obs/recorder.hpp"
 #include "util/vfs.hpp"
 
 namespace iop::obs {
 
-class RuntimeCounter {
- public:
-  void add(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class RuntimeGauge {
- public:
-  void set(double value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  void add(double delta) noexcept;
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> value_{0};
-};
-
-/// Fixed-bucket histogram with atomic buckets.  Same "le" semantics as
-/// obs::Histogram (a value lands in the first bucket whose upper bound is
-/// >= it; an implicit +Inf bucket catches the rest), but safe for
-/// concurrent observe() from any number of threads.
-class RuntimeHistogram {
- public:
-  /// `bounds` are ascending bucket upper bounds (at least one).
-  explicit RuntimeHistogram(std::vector<double> bounds);
-
-  void observe(double value) noexcept;
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  const std::vector<double>& bounds() const noexcept { return bounds_; }
-  /// Snapshot of the per-bucket counts; size() == bounds().size() + 1
-  /// (last is overflow).  Concurrent observers may make the snapshot
-  /// internally torn; totals converge once writers stop.
-  std::vector<std::uint64_t> bucketCounts() const;
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0};
-};
-
-/// Thread-safe registry of runtime instruments.  Names follow the same
-/// `<subsystem>.<quantity>` convention as MetricsRegistry; the Prometheus
-/// rendering mangles them to `iop_<subsystem>_<quantity>` (counters get a
-/// `_total` suffix).
-class RuntimeMetrics {
- public:
-  /// Get-or-create by name.  Returned references are stable for the
-  /// registry's lifetime; cache them outside hot loops.  A name may hold
-  /// only one instrument kind (std::logic_error otherwise).
-  RuntimeCounter& counter(const std::string& name);
-  RuntimeGauge& gauge(const std::string& name);
-  /// For an existing histogram the bounds argument is ignored.
-  RuntimeHistogram& histogram(const std::string& name,
-                              std::vector<double> bounds);
-
-  const RuntimeCounter* findCounter(const std::string& name) const;
-  const RuntimeGauge* findGauge(const std::string& name) const;
-  const RuntimeHistogram* findHistogram(const std::string& name) const;
-
-  /// Prometheus text exposition (version 0.0.4): name-ordered, with
-  /// cumulative histogram buckets.  Deterministic for a given state.
-  std::string renderProm() const;
-  /// Atomically (temp + rename) replace `path` with renderProm(), so a
-  /// scraper or a human tailing the file never sees a partial snapshot.
-  void writeProm(const std::filesystem::path& path) const;
-
- private:
-  void checkFree(const std::string& name, char wanted) const;
-
-  mutable std::mutex mutex_;  ///< guards the maps, not the instruments
-  std::map<std::string, std::unique_ptr<RuntimeCounter>> counters_;
-  std::map<std::string, std::unique_ptr<RuntimeGauge>> gauges_;
-  std::map<std::string, std::unique_ptr<RuntimeHistogram>> histograms_;
-};
-
-/// Background thread re-writing a RuntimeMetrics exposition file every
+/// Background thread re-writing `path` with `render()` every
 /// `intervalMs`.  stop() (or destruction) joins the thread and writes one
 /// final snapshot, so the file always ends at the run's last state.
+/// `render` runs on the snapshot thread and must do its own locking.
 class TelemetrySnapshotter {
  public:
-  TelemetrySnapshotter(const RuntimeMetrics& metrics,
+  TelemetrySnapshotter(std::function<std::string()> render,
                        std::filesystem::path path, int intervalMs);
   ~TelemetrySnapshotter();
 
   void stop();
 
-  std::size_t snapshots() const noexcept {
-    return snapshots_.load(std::memory_order_relaxed);
-  }
-
  private:
   void writeOnce();
 
-  const RuntimeMetrics& metrics_;
+  std::function<std::string()> render_;
   std::filesystem::path path_;
   int intervalMs_;
-  std::atomic<std::size_t> snapshots_{0};
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
@@ -196,10 +91,6 @@ class RunJournal {
   /// flight recorder must never take the campaign down.
   void event(const std::string& name, const std::string& fieldsJson = {});
 
-  std::size_t eventCount() const noexcept {
-    return events_.load(std::memory_order_relaxed);
-  }
-
   /// True once a write failure silenced the journal.
   bool disabled() const noexcept {
     return disabled_.load(std::memory_order_relaxed);
@@ -210,7 +101,6 @@ class RunJournal {
   std::unique_ptr<util::vfs::AppendStream> stream_;
   std::chrono::steady_clock::time_point epoch_;
   std::mutex mutex_;
-  std::atomic<std::size_t> events_{0};
   std::atomic<bool> disabled_{false};
 };
 
@@ -238,35 +128,5 @@ struct JournalParse {
 /// badLines, not fatal — a crashed process's journal must still load.
 JournalParse parseJournal(const std::string& text);
 JournalParse loadJournal(const std::filesystem::path& path);
-
-/// Mutex-guarded Chrome/Perfetto emitter on a wall-clock timebase for
-/// tracing the sweep execution itself (TrackKind::Worker tracks).
-class ExecTrace {
- public:
-  ExecTrace();
-
-  /// Wall-clock seconds since construction.
-  double now() const;
-
-  /// Track ids for the per-worker timelines and the executor's own
-  /// (probe/manifest) control track.  Thread-safe, stable.
-  int workerTrack(std::size_t worker);
-  int controlTrack();
-
-  void span(int tid, const std::string& name, const std::string& cat,
-            double beginSec, double endSec, std::string argsJson = {});
-  void instant(int tid, const std::string& name, const std::string& cat,
-               double atSec, std::string argsJson = {});
-  void counterSample(int tid, const std::string& name, double atSec,
-                     double value);
-
-  std::size_t eventCount() const;
-  void saveJson(const std::string& path) const;
-
- private:
-  mutable std::mutex mutex_;
-  TraceRecorder recorder_;
-  std::chrono::steady_clock::time_point epoch_;
-};
 
 }  // namespace iop::obs

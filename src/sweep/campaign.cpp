@@ -13,7 +13,6 @@
 
 #include "analysis/runner.hpp"
 #include "configs/configfile.hpp"
-#include "obs/recorder.hpp"
 #include "sweep/hash.hpp"
 #include "sweep/store.hpp"
 #include "sweep/telemetry.hpp"
@@ -510,29 +509,15 @@ ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
     if (error) std::rethrow_exception(error);
   }
 
-  // Log after the join, in declaration order: the log stream is
+  // Report after the join, in declaration order: the event stream is
   // deterministic for any -j.
   for (std::size_t i = 0; i < n; ++i) {
     if (!spec.models[i].fromApp()) continue;
     if (outcomes[i].cacheHit) {
       ++out.modelCacheHits;
-      if (options.log != nullptr) {
-        options.log->info(
-            "sweep", "model_cache_hit",
-            "\"model\":\"" +
-                obs::TraceRecorder::jsonEscape(spec.models[i].label) + "\"");
-      }
       if (tele != nullptr) tele->modelCacheHit(spec.models[i].label);
     } else {
       ++out.characterized;
-      if (options.log != nullptr) {
-        options.log->info(
-            "sweep", "characterized",
-            "\"model\":\"" +
-                obs::TraceRecorder::jsonEscape(spec.models[i].label) +
-                "\",\"phases\":" +
-                std::to_string(out.models[i].model.phases().size()));
-      }
       if (tele != nullptr) {
         tele->modelCharacterized(spec.models[i].label,
                                  out.models[i].model.phases().size(),
@@ -566,13 +551,6 @@ ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
     out.tenants.push_back(std::move(t));
   }
   return out;
-}
-
-ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
-                                 obs::Logger* log) {
-  ResolveOptions options;
-  options.log = log;
-  return resolveCampaign(spec, options);
 }
 
 std::string cellKey(const char* estimatorVersion,

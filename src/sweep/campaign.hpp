@@ -45,7 +45,6 @@
 #include "configs/configs.hpp"
 #include "core/iomodel.hpp"
 #include "fault/plan.hpp"
-#include "obs/log.hpp"
 #include "tenant/spec.hpp"
 
 namespace iop::sweep {
@@ -227,22 +226,18 @@ struct ResolveOptions {
   int jobs = 1;
   std::vector<std::filesystem::path> modelCacheDirs;
   bool reuse = true;  ///< false: ignore cached models (still writes back)
-  obs::Logger* log = nullptr;
-  /// Optional runtime telemetry (telemetry.hpp): characterization spans
-  /// land on the exec trace as they run; journal events and metrics are
-  /// emitted post-join in declaration order.  Observation-only.
+  /// Optional observer (telemetry.hpp): characterization spans land on
+  /// the exec trace as they run; model_cache_hit / model_characterized
+  /// events (journal, log, metrics) are emitted post-join in declaration
+  /// order, so the log is deterministic for any -j.  Observation-only.
   SweepTelemetry* telemetry = nullptr;
 };
 
 /// Load model files, characterize app entries (on the characterize
-/// config, across `options.jobs` workers), and load cluster files.  Logs
-/// one line per characterization, deterministically in declaration order.
+/// config, across `options.jobs` workers), and load cluster files.  The
+/// defaults resolve serially with no model cache.
 ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
-                                 const ResolveOptions& options);
-
-/// Serial convenience overload (jobs = 1, no model cache).
-ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
-                                 obs::Logger* log = nullptr);
+                                 const ResolveOptions& options = {});
 
 /// Content-addressed model cache key for an `app` campaign entry: app
 /// name + np + parameters + the characterize config's identity.

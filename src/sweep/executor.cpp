@@ -17,7 +17,6 @@
 #include "analysis/multiop.hpp"
 #include "analysis/replay.hpp"
 #include "obs/profiler.hpp"
-#include "obs/recorder.hpp"
 #include "sim/framepool.hpp"
 #include "sweep/telemetry.hpp"
 #include "tenant/cosched.hpp"
@@ -31,34 +30,6 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// Serialized view of the (not thread-safe) Logger for worker threads.
-class SharedLog {
- public:
-  explicit SharedLog(obs::Logger* log) : log_(log) {}
-
-  void info(const std::string& event, const std::string& fields) {
-    if (log_ == nullptr) return;
-    std::lock_guard<std::mutex> guard(mutex_);
-    log_->info("sweep", event, fields);
-  }
-  void warn(const std::string& event, const std::string& fields) {
-    if (log_ == nullptr) return;
-    std::lock_guard<std::mutex> guard(mutex_);
-    log_->warn("sweep", event, fields);
-  }
-
- private:
-  obs::Logger* log_;
-  std::mutex mutex_;
-};
-
-std::string cellFields(const ResolvedCampaign& campaign,
-                       const CellSpec& cell) {
-  return "\"cell\":\"" +
-         obs::TraceRecorder::jsonEscape(campaign.cellTitle(cell)) +
-         "\",\"key\":\"" + cell.key + "\"";
 }
 
 /// Result slot shared between a worker and the detached evaluation thread
@@ -182,14 +153,12 @@ CellResult evaluateCell(const ResolvedCampaign& campaign,
 }
 
 SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
-                      const SweepOptions& options, obs::Logger* log,
-                      obs::MetricsRegistry* metrics) {
+                      const SweepOptions& options) {
   IOP_PROFILE_SCOPE("sweep.run");
   if (options.jobs < 1) {
     throw std::invalid_argument("sweep: jobs must be >= 1");
   }
   const auto startedAt = std::chrono::steady_clock::now();
-  SharedLog sharedLog(log);
   SweepTelemetry* tele = options.telemetry;
 
   // Wall-clock pause between claim and evaluation, so tests/CI can kill
@@ -208,16 +177,12 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
   }
 
   store.initialize(campaign.spec.canonicalText(), options.force);
-  if (tele != nullptr) {
-    store.setRuntimeMetrics(&tele->runtime(), "store");
-  }
+  store.setTelemetry(tele);
 
   std::optional<SharedStore> shared;
   if (!options.sharedStore.empty()) {
     shared.emplace(std::filesystem::path(options.sharedStore));
-    if (tele != nullptr) {
-      shared->setRuntimeMetrics(&tele->runtime(), "shared_store");
-    }
+    shared->setTelemetry(tele);
   }
 
   SweepOutcome outcome;
@@ -252,7 +217,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
                             makeCellCapture(outcome.cells[i].result));
         }
         ++outcome.cacheHits;
-        sharedLog.info("cache_hit", cellFields(campaign, cell));
         if (tele != nullptr) {
           tele->cacheHit(campaign.cellTitle(cell), cell.key,
                          /*shared=*/false);
@@ -260,9 +224,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
         continue;
       }
       ++outcome.quarantined;
-      sharedLog.warn("cell_quarantined",
-                     cellFields(campaign, cell) + ",\"error\":\"" +
-                         obs::TraceRecorder::jsonEscape(whyBad) + "\"");
       if (tele != nullptr) {
         tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
                               /*shared=*/false);
@@ -284,7 +245,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
         }
         ++outcome.cacheHits;
         ++outcome.sharedHits;
-        sharedLog.info("shared_hit", cellFields(campaign, cell));
         if (tele != nullptr) {
           tele->cacheHit(campaign.cellTitle(cell), cell.key,
                          /*shared=*/true);
@@ -292,9 +252,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
         continue;
       }
       ++outcome.quarantined;
-      sharedLog.warn("shared_cell_quarantined",
-                     cellFields(campaign, cell) + ",\"error\":\"" +
-                         obs::TraceRecorder::jsonEscape(whyBad) + "\"");
       if (tele != nullptr) {
         tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
                               /*shared=*/true);
@@ -326,6 +283,11 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
   std::deque<std::size_t> retryQueue;  // watchdog second attempts
   const bool watchdog = options.hardDeadlineSeconds > 0 ||
                         options.softDeadlineSeconds > 0;
+  // Supervised evaluations run on detached threads that may outlive this
+  // call (an abandoned one keeps computing); they share one copy of the
+  // campaign, so none ever reads memory the caller has freed.
+  const std::shared_ptr<const ResolvedCampaign> supervised =
+      watchdog ? std::make_shared<const ResolvedCampaign>(campaign) : nullptr;
   auto cancelled = [&options]() {
     return options.cancel != nullptr &&
            options.cancel->load(std::memory_order_relaxed);
@@ -397,18 +359,18 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
       } else {
         // Supervised evaluation: the cell computes on a detached thread
         // (a hung evaluation must never hang the pool) that reads only
-        // `campaign` plus its private spec copy and writes only into
+        // `supervised` plus its private spec copy and writes only into
         // `task`.  The worker waits out the deadlines here.
         auto task = std::make_shared<EvalTask>();
         const int delayMs =
             testDelayMs + (attempt == 1 ? testDelayOnceMs : 0);
-        std::thread([task, &campaign, spec = out.spec, delayMs]() {
+        std::thread([task, supervised, spec = out.spec, delayMs]() {
           try {
             if (delayMs > 0) {
               std::this_thread::sleep_for(
                   std::chrono::milliseconds(delayMs));
             }
-            CellResult r = evaluateCell(campaign, spec);
+            CellResult r = evaluateCell(*supervised, spec);
             {
               std::lock_guard<std::mutex> guard(task->mutex);
               task->result = std::move(r);
@@ -436,10 +398,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
           if (!doneSoft) {
             slow = true;
             lock.unlock();
-            sharedLog.warn(
-                "cell_slow",
-                cellFields(campaign, out.spec) + ",\"deadline_s\":" +
-                    std::to_string(options.softDeadlineSeconds));
             if (tele != nullptr) {
               tele->cellSlow(worker, campaign.cellTitle(out.spec),
                              out.spec.key, options.softDeadlineSeconds);
@@ -498,11 +456,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
         } catch (const std::exception&) {
           // Best-effort: a marker failure must not fail the run.
         }
-        sharedLog.warn("cell_stuck",
-                       cellFields(campaign, out.spec) +
-                           ",\"attempt\":" + std::to_string(attempt) +
-                           ",\"retry\":" +
-                           (retrying ? "true" : "false"));
         if (tele != nullptr) {
           tele->cellStuck(worker, campaign.cellTitle(out.spec),
                           out.spec.key, attempt,
@@ -531,12 +484,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
             if (shared) shared->saveCell(out.result);
             out.status = CellOutcome::Status::Computed;
             out.seconds = secondsSince(cellStart);
-            sharedLog.info(
-                "cell_done",
-                cellFields(campaign, out.spec) + ",\"time_io\":" +
-                    std::to_string(out.result.timeIo) +
-                    ",\"ior_runs\":" +
-                    std::to_string(out.result.iorRuns));
             if (tele != nullptr) {
               tele->cellCommit(worker, campaign.cellTitle(out.spec),
                                out.spec.key, tClaim, tEval, tele->now(),
@@ -552,10 +499,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
           out.status = CellOutcome::Status::Failed;
           out.error = evalError;
           out.seconds = secondsSince(cellStart);
-          sharedLog.warn(
-              "cell_failed",
-              cellFields(campaign, out.spec) + ",\"error\":\"" +
-                  obs::TraceRecorder::jsonEscape(evalError) + "\"");
           if (tele != nullptr) {
             tele->cellFailed(worker, campaign.cellTitle(out.spec),
                              out.spec.key, tClaim, tele->now(),
@@ -646,43 +589,7 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
   store.writeManifest(campaign, plan);
   outcome.wallSeconds = secondsSince(startedAt);
 
-  if (metrics != nullptr) {
-    metrics->counter("sweep.cells").add(static_cast<double>(plan.size()));
-    metrics->counter("sweep.cache_hits")
-        .add(static_cast<double>(outcome.cacheHits));
-    metrics->counter("sweep.shared_hits")
-        .add(static_cast<double>(outcome.sharedHits));
-    metrics->counter("sweep.computed")
-        .add(static_cast<double>(outcome.computed));
-    metrics->counter("sweep.failures")
-        .add(static_cast<double>(outcome.failures));
-    metrics->counter("sweep.skipped")
-        .add(static_cast<double>(outcome.skipped));
-    metrics->counter("sweep.quarantined")
-        .add(static_cast<double>(outcome.quarantined));
-    metrics->counter("sweep.stuck")
-        .add(static_cast<double>(outcome.stuck));
-    metrics->counter("sweep.ior_runs")
-        .add(static_cast<double>(outcome.iorRuns));
-  }
-  sharedLog.info(
-      "run_complete",
-      "\"cells\":" + std::to_string(plan.size()) +
-          ",\"cache_hits\":" + std::to_string(outcome.cacheHits) +
-          ",\"shared_hits\":" + std::to_string(outcome.sharedHits) +
-          ",\"computed\":" + std::to_string(outcome.computed) +
-          ",\"failures\":" + std::to_string(outcome.failures) +
-          ",\"skipped\":" + std::to_string(outcome.skipped) +
-          ",\"quarantined\":" + std::to_string(outcome.quarantined) +
-          ",\"interrupted\":" +
-          (outcome.interrupted ? "true" : "false") +
-          ",\"jobs\":" + std::to_string(options.jobs));
-  if (tele != nullptr) {
-    tele->runComplete(plan.size(), outcome.cacheHits, outcome.sharedHits,
-                      outcome.computed, outcome.failures, outcome.skipped,
-                      outcome.quarantined, outcome.interrupted,
-                      outcome.wallSeconds);
-  }
+  if (tele != nullptr) tele->runComplete(outcome);
   return outcome;
 }
 

@@ -9,6 +9,11 @@
 // deterministic, so a cell's bytes are a pure function of its cache key —
 // which is what makes the store byte-identical for any -j and lets a
 // second run be 100% cache hits.
+//
+// Observation: the executor reports every lifecycle event (cache hits,
+// quarantines, claims, commits, failures, watchdog verdicts, the run's
+// totals) to one place, the optional SweepTelemetry in SweepOptions,
+// which journals, logs, counts and traces it (telemetry.hpp).
 #pragma once
 
 #include <atomic>
@@ -17,8 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/store.hpp"
 
@@ -46,9 +49,9 @@ struct SweepOptions {
   /// Test/progress hook, invoked serially (under a lock) after each cell
   /// is committed or fails.  May flip `cancel` to exercise shutdown.
   std::function<void(const CellOutcome&)> onCellDone;
-  /// Optional runtime telemetry bundle (flight recorder, live metrics,
-  /// exec trace — see telemetry.hpp).  Observation-only: the store bytes
-  /// are identical with and without it.
+  /// Optional observer of the run: flight recorder, metrics, log, exec
+  /// trace and progress (telemetry.hpp).  Observation-only: the store
+  /// bytes are identical with and without it.
   SweepTelemetry* telemetry = nullptr;
   /// Hung-worker watchdog (0 = off, the default).  With a soft deadline,
   /// a cell still evaluating after that many wall seconds is journaled as
@@ -61,10 +64,9 @@ struct SweepOptions {
   /// fails the cell with a "stuck" error.  Deadlines don't perturb
   /// results: a store written with the watchdog on is byte-identical to
   /// one written with it off (abandoned attempts commit nothing).
-  /// Caveat: an abandoned evaluation may still be running when runSweep
-  /// returns; it references only the ResolvedCampaign, so callers must
-  /// keep the campaign alive for the process lifetime when enabling hard
-  /// deadlines (iop-sweep does).
+  /// An abandoned evaluation may still be running when runSweep returns;
+  /// it shares ownership of a copy of the campaign, so the caller's
+  /// campaign may go away at any time.
   double softDeadlineSeconds = 0;
   double hardDeadlineSeconds = 0;
 };
@@ -107,12 +109,10 @@ CellResult evaluateCell(const ResolvedCampaign& campaign,
 
 /// Run (or resume) a campaign against a store: probe the cache serially,
 /// evaluate the misses on `options.jobs` workers, commit results
-/// atomically, and rewrite the manifest in canonical order.  Logs per-cell
-/// progress to `log` and bumps `sweep.*` counters on `metrics` (either may
-/// be null).
+/// atomically, and rewrite the manifest in canonical order.  Every event
+/// goes to `options.telemetry` (if any); `store` and the shared store
+/// count their operations through it too.
 SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
-                      const SweepOptions& options,
-                      obs::Logger* log = nullptr,
-                      obs::MetricsRegistry* metrics = nullptr);
+                      const SweepOptions& options);
 
 }  // namespace iop::sweep

@@ -1,19 +1,27 @@
 #include "sweep/postmortem.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <system_error>
 #include <sstream>
 
 namespace iop::sweep {
 
 namespace {
 
-double numField(const obs::JournalEvent& ev, const std::string& key) {
+/// An integer field, or 0 when it is absent or not an integer of type T
+/// (a fraction, an exponent, a sign T cannot hold, out of range): a
+/// hostile journal must read as missing data, never as a bad conversion.
+template <typename T>
+T intField(const obs::JournalEvent& ev, const std::string& key) {
   const std::string* raw = ev.field(key);
   if (raw == nullptr) return 0;
-  return std::strtod(raw->c_str(), nullptr);
+  T value = 0;
+  const char* end = raw->data() + raw->size();
+  const auto [ptr, ec] = std::from_chars(raw->data(), end, value);
+  return ec == std::errc() && ptr == end ? value : 0;
 }
 
 std::string strField(const obs::JournalEvent& ev, const std::string& key) {
@@ -42,16 +50,16 @@ Postmortem analyzeJournal(const obs::JournalParse& parsed) {
     pm.lastEventName = ev.name;
     if (ev.name == "journal_start") {
       pm.schema = strField(ev, "schema");
-      pm.startUnixMs = numField(ev, "unix_ms");
-      pm.pid = static_cast<long>(numField(ev, "pid"));
+      pm.startUnixMs = intField<long long>(ev, "unix_ms");
+      pm.pid = intField<long>(ev, "pid");
     } else if (ev.name == "campaign_start") {
       pm.campaign = strField(ev, "campaign");
       pm.configHash = strField(ev, "config");
-      pm.jobs = static_cast<int>(numField(ev, "jobs"));
+      pm.jobs = intField<int>(ev, "jobs");
     } else if (ev.name == "exec_start") {
-      pm.cells = static_cast<std::size_t>(numField(ev, "cells"));
-      pm.pending = static_cast<std::size_t>(numField(ev, "pending"));
-      pm.workers = static_cast<std::size_t>(numField(ev, "workers"));
+      pm.cells = intField<std::size_t>(ev, "cells");
+      pm.pending = intField<std::size_t>(ev, "pending");
+      pm.workers = intField<std::size_t>(ev, "workers");
     } else if (ev.name == "cache_hit") {
       ++pm.cacheHits;
     } else if (ev.name == "shared_hit") {
@@ -62,7 +70,7 @@ Postmortem analyzeJournal(const obs::JournalParse& parsed) {
     } else if (ev.name == "cell_claim") {
       ++pm.claims;
       InFlightCell cell;
-      cell.worker = static_cast<std::size_t>(numField(ev, "worker"));
+      cell.worker = intField<std::size_t>(ev, "worker");
       cell.cell = strField(ev, "cell");
       cell.key = strField(ev, "key");
       cell.claimedAt = ev.t;
@@ -92,7 +100,7 @@ Postmortem analyzeJournal(const obs::JournalParse& parsed) {
         pm.inFlight.pop_back();
       }
     } else if (ev.name == "cells_skipped") {
-      pm.skippedCells += static_cast<std::size_t>(numField(ev, "count"));
+      pm.skippedCells += intField<std::size_t>(ev, "count");
     } else if (ev.name == "shutdown_requested") {
       pm.shutdownRequested = true;
     } else if (ev.name == "run_complete") {

@@ -32,7 +32,7 @@ struct InFlightCell {
 struct Postmortem {
   // Identity (journal_start / campaign_start).
   std::string schema;
-  double startUnixMs = 0;
+  long long startUnixMs = 0;
   long pid = 0;
   std::string campaign;
   std::string configHash;
@@ -66,7 +66,9 @@ struct Postmortem {
 
 /// Fold a parsed journal into a Postmortem.  Tolerant by construction:
 /// unknown events are counted and skipped, missing fields default to
-/// zero, so journals from newer/older writers still analyze.
+/// zero, and so does a numeric field that is not an integer in range
+/// (`"pid":1e300`, `"worker":-5`, `"cells":nan`), so journals from
+/// newer/older writers — or damaged ones — still analyze.
 Postmortem analyzeJournal(const obs::JournalParse& parsed);
 
 /// Human-readable report (multi-line, trailing newline).

@@ -6,8 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/runtime.hpp"
 #include "sweep/hash.hpp"
+#include "sweep/telemetry.hpp"
 #include "util/text.hpp"
 
 namespace iop::sweep {
@@ -348,11 +348,8 @@ std::optional<CellResult> CampaignStore::tryLoadCell(
     const std::string& key, std::string* whyBad) const {
   auto loaded =
       tryLoadCellFile(cellPath(key), root_ / "quarantine", key, whyBad);
-  if (runtime_ != nullptr) {
-    runtime_
-        ->counter(metricsPrefix_ +
-                  (loaded ? ".cell_loads" : ".quarantines"))
-        .add();
+  if (telemetry_ != nullptr) {
+    telemetry_->cellLoaded("store", loaded.has_value());
   }
   return loaded;
 }
@@ -360,10 +357,7 @@ std::optional<CellResult> CampaignStore::tryLoadCell(
 void CampaignStore::saveCell(const CellResult& cell) const {
   const std::string text = cell.render();
   writeFileAtomically(cellPath(cell.key), text);
-  if (runtime_ != nullptr) {
-    runtime_->counter(metricsPrefix_ + ".cell_commits").add();
-    runtime_->counter(metricsPrefix_ + ".cell_bytes").add(text.size());
-  }
+  if (telemetry_ != nullptr) telemetry_->cellSaved("store", text.size());
 }
 
 void CampaignStore::saveCapture(const std::string& key,
@@ -371,15 +365,7 @@ void CampaignStore::saveCapture(const std::string& key,
   std::ostringstream out;
   capture.write(out);
   writeFileAtomically(capturePath(key), out.str());
-  if (runtime_ != nullptr) {
-    runtime_->counter(metricsPrefix_ + ".capture_commits").add();
-  }
-}
-
-void CampaignStore::setRuntimeMetrics(obs::RuntimeMetrics* metrics,
-                                      std::string prefix) {
-  runtime_ = metrics;
-  metricsPrefix_ = std::move(prefix);
+  if (telemetry_ != nullptr) telemetry_->captureSaved();
 }
 
 void CampaignStore::writeManifest(const ResolvedCampaign& campaign,
@@ -445,11 +431,8 @@ std::optional<CellResult> SharedStore::tryLoadCell(
     const std::string& key, std::string* whyBad) const {
   auto loaded =
       tryLoadCellFile(cellPath(key), root_ / "quarantine", key, whyBad);
-  if (runtime_ != nullptr) {
-    runtime_
-        ->counter(metricsPrefix_ +
-                  (loaded ? ".cell_loads" : ".quarantines"))
-        .add();
+  if (telemetry_ != nullptr) {
+    telemetry_->cellLoaded("shared_store", loaded.has_value());
   }
   return loaded;
 }
@@ -458,16 +441,9 @@ void SharedStore::saveCell(const CellResult& cell) const {
   std::filesystem::create_directories(root_ / "cells");
   const std::string text = cell.render();
   writeFileAtomically(cellPath(cell.key), text);
-  if (runtime_ != nullptr) {
-    runtime_->counter(metricsPrefix_ + ".cell_commits").add();
-    runtime_->counter(metricsPrefix_ + ".cell_bytes").add(text.size());
+  if (telemetry_ != nullptr) {
+    telemetry_->cellSaved("shared_store", text.size());
   }
-}
-
-void SharedStore::setRuntimeMetrics(obs::RuntimeMetrics* metrics,
-                                    std::string prefix) {
-  runtime_ = metrics;
-  metricsPrefix_ = std::move(prefix);
 }
 
 }  // namespace iop::sweep

@@ -27,11 +27,9 @@
 #include "sweep/campaign.hpp"
 #include "util/fsatomic.hpp"
 
-namespace iop::obs {
-class RuntimeMetrics;
-}
-
 namespace iop::sweep {
+
+class SweepTelemetry;
 
 /// One committed campaign cell: the estimate for (model, config, faults).
 struct CellResult {
@@ -137,14 +135,15 @@ class SharedStore {
   /// Atomic, race-safe commit (directories created on first write).
   void saveCell(const CellResult& cell) const;
 
-  /// Count store operations (commits, bytes, loads, quarantines) on
-  /// `metrics` under `<prefix>.`.  Observation-only; null disables.
-  void setRuntimeMetrics(obs::RuntimeMetrics* metrics, std::string prefix);
+  /// Count store operations (commits, bytes, loads, quarantines) as
+  /// `shared_store.*` on `telemetry`.  Observation-only; null disables.
+  void setTelemetry(SweepTelemetry* telemetry) noexcept {
+    telemetry_ = telemetry;
+  }
 
  private:
   std::filesystem::path root_;
-  obs::RuntimeMetrics* runtime_ = nullptr;
-  std::string metricsPrefix_;
+  SweepTelemetry* telemetry_ = nullptr;
 };
 
 class CampaignStore {
@@ -189,14 +188,15 @@ class CampaignStore {
   /// number of files removed.
   std::size_t gc(const std::set<std::string>& liveKeys) const;
 
-  /// Count store operations (commits, bytes, loads, quarantines) on
-  /// `metrics` under `<prefix>.`.  Observation-only; null disables.
-  void setRuntimeMetrics(obs::RuntimeMetrics* metrics, std::string prefix);
+  /// Count store operations (commits, bytes, loads, quarantines) as
+  /// `store.*` on `telemetry`.  Observation-only; null disables.
+  void setTelemetry(SweepTelemetry* telemetry) noexcept {
+    telemetry_ = telemetry;
+  }
 
  private:
   std::filesystem::path root_;
-  obs::RuntimeMetrics* runtime_ = nullptr;
-  std::string metricsPrefix_;
+  SweepTelemetry* telemetry_ = nullptr;
 };
 
 }  // namespace iop::sweep

@@ -1,37 +1,54 @@
-// Runtime telemetry for campaign execution: the glue between the sweep
-// executor and the obs wall-clock instruments (obs/runtime.hpp).
+// Runtime telemetry for campaign execution: the one observer the sweep
+// executor, the campaign resolver and the stores report to.
 //
-// One SweepTelemetry object per `iop-sweep run` bundles the three pillars:
+// One SweepTelemetry object observes one `iop-sweep run`.  Each hook
+// method below is one typed event; the object records it once and
+// derives every view from that record:
 //
-//   * a RunJournal flight recorder under <store>/journal/ — every
-//     lifecycle event (campaign start, cache hits, cell claims/commits,
-//     worker spawns, shutdown) as one flushed JSONL line, so a crashed or
-//     SIGKILLed run leaves a reconstructable timeline (see postmortem.hpp);
-//   * a RuntimeMetrics registry (+ optional TelemetrySnapshotter writing
-//     Prometheus text exposition to --telemetry-out on a timer);
-//   * an optional ExecTrace emitting the execution itself — one
-//     Chrome/Perfetto track per worker, spans for characterize / replay /
-//     commit — to --exec-trace-out.
+//   * the metrics registry (an obs::MetricsRegistry, `runtime()`): the
+//     `sweep.*`, `store.*`, `shared_store.*` and `sim.arena_*`
+//     instruments, snapshotted as Prometheus text exposition to
+//     --telemetry-out on a timer and rendered as CSV by
+//     `iop-sweep --metrics-out`;
+//   * the RunJournal flight recorder under <store>/journal/ — every
+//     lifecycle event as one flushed JSONL line (schema iop-journal/1),
+//     so a crashed or SIGKILLed run leaves a reconstructable timeline
+//     (see postmortem.hpp);
+//   * the tool's obs::Logger — the same events as JSONL diagnostics,
+//     without the fields that depend on wall-clock time or on which
+//     worker ran a cell, so log lines are deterministic;
+//   * an optional execution trace — one Chrome/Perfetto track per worker
+//     (TrackKind::Worker), spans for characterize / replay / commit —
+//     saved to --exec-trace-out;
+//   * the progress meter (--progress).
 //
-// Everything here is observation-only: no instrument feeds back into any
+// Every hook is thread-safe: all sinks are serialised under one mutex.
+// Sweep events arrive a few times per cell, so the lock costs nothing
+// measurable, and the registry's instruments stay plain (non-atomic)
+// for the simulations that share them.
+//
+// Everything here is observation-only: no sink feeds back into any
 // scheduling or result-affecting decision, so a store written with
 // telemetry on is byte-identical to one written with it off (the tests
-// and CI pin exactly that).  All hook methods are thread-safe; a null
-// SweepTelemetry pointer in SweepOptions/ResolveOptions disables the
-// whole subsystem at zero cost.
+// and CI pin exactly that).  A null SweepTelemetry pointer in
+// SweepOptions/ResolveOptions disables the whole subsystem at zero cost.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/runtime.hpp"
 
 namespace iop::sweep {
+
+struct SweepOutcome;
 
 struct TelemetryConfig {
   std::string journalPath;    ///< JSONL flight recorder ("" = off)
@@ -39,6 +56,7 @@ struct TelemetryConfig {
   int telemetryIntervalMs = 500;
   bool progress = false;      ///< live status line on stderr
   std::string execTraceOut;   ///< Chrome trace of the execution ("" = off)
+  obs::Logger* log = nullptr; ///< structured log sink (null = off)
 };
 
 /// Progress accounting for one run, with an optional single-line TTY
@@ -47,7 +65,7 @@ struct TelemetryConfig {
 /// is 100% cache hits reports an honest 0-cells-evaluated, matching the
 /// journal, instead of an inflated done count.  The ETA is an EWMA of
 /// per-cell wall seconds scaled by the remaining pending cells per
-/// worker.
+/// worker.  Not thread-safe: SweepTelemetry serialises its calls.
 class ProgressMeter {
  public:
   explicit ProgressMeter(bool enabled, std::FILE* out = stderr);
@@ -59,19 +77,16 @@ class ProgressMeter {
   void release();  ///< a claimed cell finished (busy worker count -1)
   void finish();   ///< final render + newline (enabled only)
 
-  std::size_t doneCells() const;
-  double ewmaSeconds() const;
+  std::size_t doneCells() const { return done_; }
+  double ewmaSeconds() const { return ewma_; }
   double etaSeconds() const;
   /// Fraction of the grid served from caches, in [0, 1].
   double hitRate() const;
   std::string renderLine() const;
 
  private:
-  std::string renderLocked() const;
-  double etaLocked() const;
   void maybeRender();
 
-  mutable std::mutex mutex_;
   bool enabled_ = false;
   std::FILE* out_ = nullptr;
   std::size_t cells_ = 0;
@@ -87,9 +102,6 @@ class ProgressMeter {
   std::size_t lastWidth_ = 0;
 };
 
-/// The per-run telemetry bundle.  Hook methods fan each event out to the
-/// journal, the metrics registry, the exec trace and the progress meter —
-/// whichever of those the config enabled.
 class SweepTelemetry {
  public:
   explicit SweepTelemetry(const TelemetryConfig& config);
@@ -98,10 +110,10 @@ class SweepTelemetry {
   SweepTelemetry(const SweepTelemetry&) = delete;
   SweepTelemetry& operator=(const SweepTelemetry&) = delete;
 
-  obs::RuntimeMetrics& runtime() noexcept { return runtime_; }
+  /// The run's metrics registry.  Hooks update it under the telemetry
+  /// lock, so read it only once no hook can run (after runSweep returns).
+  obs::MetricsRegistry& runtime() noexcept { return metrics_; }
   obs::RunJournal* journal() noexcept { return journal_.get(); }
-  obs::ExecTrace* trace() noexcept { return trace_.get(); }
-  ProgressMeter& progress() noexcept { return progress_; }
 
   /// Wall-clock seconds since construction (the exec-trace timebase).
   double now() const;
@@ -152,11 +164,19 @@ class SweepTelemetry {
                     std::size_t slabBytes);
   void shutdownNoticed();  ///< idempotent: first caller journals it
   void cellsSkipped(std::size_t count);
-  void runComplete(std::size_t cells, std::size_t cacheHits,
-                   std::size_t sharedHits, std::size_t computed,
-                   std::size_t failures, std::size_t skipped,
-                   std::size_t quarantined, bool interrupted,
-                   double wallSeconds);
+  /// The run's totals.  Deduplicated cells share their owner's
+  /// evaluation and raise no event of their own, so the counters the
+  /// totals name are topped up to them here: afterwards `sweep.cells`,
+  /// `cache_hits`, `shared_hits`, `computed`, `failures`, `skipped`,
+  /// `quarantined`, `ior_runs` and `cells_stuck` equal the outcome's
+  /// fields (`stuck` for the last).
+  void runComplete(const SweepOutcome& outcome);
+
+  // ---- store operations (store.cpp); `store` is the counter prefix ----
+  void cellLoaded(const char* store, bool ok);  ///< ok: a load, else a
+                                                ///< quarantine
+  void cellSaved(const char* store, std::size_t bytes);
+  void captureSaved();
 
   /// Flush everything: stop the snapshot thread (writing one final
   /// exposition), finish the progress line, save the exec trace.
@@ -164,21 +184,23 @@ class SweepTelemetry {
   void finish();
 
  private:
-  /// Bumps `sweep.journal_disabled` (once) after a journal write failure
-  /// silenced the flight recorder, so the loss shows up in the metrics
-  /// even though the journal itself can no longer record it.
-  void maybeNoteJournalDisabled();
+  class Fields;
+  /// Journal and log one event.  The caller holds mutex_.
+  void emit(obs::LogLevel level, const char* event, const Fields& fields);
+  int workerTrack(std::size_t worker);
 
-  obs::RuntimeMetrics runtime_;
+  mutable std::mutex mutex_;  ///< serialises every sink below
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::RunJournal> journal_;
-  std::unique_ptr<obs::ExecTrace> trace_;
+  std::unique_ptr<obs::TraceRecorder> trace_;
   std::unique_ptr<obs::TelemetrySnapshotter> snapshotter_;
   ProgressMeter progress_;
+  obs::Logger* log_;
   std::string execTraceOut_;
   std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> shutdownSeen_{false};
-  std::atomic<bool> finished_{false};
-  std::atomic<bool> journalDisabledNoted_{false};
+  bool shutdownSeen_ = false;
+  bool finished_ = false;
+  bool journalDisabledNoted_ = false;
 };
 
 }  // namespace iop::sweep

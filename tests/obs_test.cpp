@@ -7,6 +7,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -199,7 +200,7 @@ TEST(ObsMetrics, RegistryInstrumentsAreStableAndKindChecked) {
   EXPECT_THROW(reg.gauge("a.count"), std::logic_error);
   EXPECT_THROW(reg.histogram("a.count", {1.0}), std::logic_error);
   EXPECT_EQ(reg.findCounter("missing"), nullptr);
-  EXPECT_NE(reg.findCounter("a.count"), nullptr);
+  EXPECT_EQ(reg.findCounter("a.count"), &c);
 }
 
 // --- instrument merging (per-shard registries folded into one) ----------
@@ -278,22 +279,37 @@ TEST(ObsMetrics, RegistryMergeFoldsAndChecksKinds) {
   EXPECT_THROW(a.merge(conflict), std::logic_error);
 }
 
-// --- wall-clock runtime instruments (obs/runtime.hpp) -------------------
+// --- runtime telemetry plumbing (Prometheus view, obs/runtime.hpp) ------
 
 TEST(ObsRuntime, RegistryIsStableAndKindChecked) {
-  obs::RuntimeMetrics m;
+  // Runtime hooks hold instrument references across the whole sweep, so
+  // an address must survive the registry growing around it.
+  obs::MetricsRegistry m;
   auto& c = m.counter("a.count");
+  auto& h = m.histogram("a.seconds", {1.0});
   c.add(2);
+  for (int i = 0; i < 64; ++i) {
+    m.counter("grow.c" + std::to_string(i)).add(1);
+    m.gauge("grow.g" + std::to_string(i)).set(i);
+    m.histogram("grow.h" + std::to_string(i), {1.0}).observe(i);
+  }
   EXPECT_EQ(&m.counter("a.count"), &c);  // get-or-create memoizes
-  EXPECT_EQ(m.counter("a.count").value(), 2u);
+  EXPECT_EQ(&m.histogram("a.seconds", {5.0}), &h);  // bounds ignored
+  EXPECT_EQ(m.findCounter("a.count"), &c);
+  EXPECT_EQ(m.findHistogram("a.seconds"), &h);
+  EXPECT_DOUBLE_EQ(m.counter("a.count").value(), 2.0);
   EXPECT_THROW(m.gauge("a.count"), std::logic_error);
   EXPECT_THROW(m.histogram("a.count", {1.0}), std::logic_error);
+  EXPECT_THROW(m.counter("a.seconds"), std::logic_error);
   EXPECT_EQ(m.findCounter("missing"), nullptr);
-  EXPECT_EQ(m.findCounter("a.count"), &c);
+  EXPECT_EQ(m.findGauge("a.count"), nullptr);  // wrong kind is not found
 }
 
 TEST(ObsRuntime, RuntimeHistogramMatchesLeSemantics) {
-  obs::RuntimeHistogram h({1.0, 2.0});
+  // The histogram behind the runtime Prometheus view: a value on a bound
+  // lands in that bucket, both in the raw counts and the cumulative le rows.
+  obs::MetricsRegistry m;
+  auto& h = m.histogram("sweep.replay_seconds", {1.0, 2.0});
   h.observe(1.0);   // on-bound lands in that bucket
   h.observe(1.5);
   h.observe(99.0);  // overflow
@@ -304,12 +320,19 @@ TEST(ObsRuntime, RuntimeHistogramMatchesLeSemantics) {
   EXPECT_EQ(counts[2], 1u);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_DOUBLE_EQ(h.sum(), 101.5);
+  const std::string prom = m.renderProm();
+  const auto npos = std::string::npos;
+  EXPECT_NE(prom.find("iop_sweep_replay_seconds_bucket{le=\"1\"} 1\n"), npos);
+  EXPECT_NE(prom.find("iop_sweep_replay_seconds_bucket{le=\"2\"} 2\n"), npos);
+  EXPECT_NE(prom.find("iop_sweep_replay_seconds_bucket{le=\"+Inf\"} 3\n"),
+            npos);
 }
 
 TEST(ObsRuntime, RenderPromFormatsAllInstrumentKinds) {
-  obs::RuntimeMetrics m;
+  obs::MetricsRegistry m;
   m.counter("sweep.cells").add(3);
-  m.gauge("sim.arena_bytes").set(64.0);
+  m.gauge("sim.arena_bytes").set(60.0);
+  m.gauge("sim.arena_bytes").add(4.0);
   auto& h = m.histogram("sweep.replay_seconds", {0.1, 1.0});
   h.observe(0.05);
   h.observe(0.5);
@@ -319,15 +342,16 @@ TEST(ObsRuntime, RenderPromFormatsAllInstrumentKinds) {
   // Name mangling: <subsystem>.<quantity> -> iop_<subsystem>_<quantity>,
   // counters with the conventional _total suffix.
   EXPECT_NE(prom.find("# TYPE iop_sweep_cells_total counter"), npos);
-  EXPECT_NE(prom.find("iop_sweep_cells_total 3"), npos);
+  EXPECT_NE(prom.find("iop_sweep_cells_total 3\n"), npos);
   EXPECT_NE(prom.find("# TYPE iop_sim_arena_bytes gauge"), npos);
-  EXPECT_NE(prom.find("iop_sim_arena_bytes 64"), npos);
+  EXPECT_NE(prom.find("iop_sim_arena_bytes 64\n"), npos);
   // Histogram buckets are cumulative, with the implicit +Inf bucket.
   EXPECT_NE(prom.find("iop_sweep_replay_seconds_bucket{le=\"0.1\"} 1"),
             npos);
   EXPECT_NE(prom.find("iop_sweep_replay_seconds_bucket{le=\"1\"} 2"), npos);
   EXPECT_NE(prom.find("iop_sweep_replay_seconds_bucket{le=\"+Inf\"} 3"),
             npos);
+  EXPECT_NE(prom.find("iop_sweep_replay_seconds_sum 5.55\n"), npos);
   EXPECT_NE(prom.find("iop_sweep_replay_seconds_count 3"), npos);
   // Deterministic for a given state.
   EXPECT_EQ(prom, m.renderProm());
@@ -337,10 +361,16 @@ TEST(ObsRuntime, SnapshotterWritesFinalSnapshotOnStop) {
   const auto dir =
       std::filesystem::temp_directory_path() / "iop_obs_snap_test";
   std::filesystem::remove_all(dir);
-  obs::RuntimeMetrics m;
+  std::mutex mutex;  // the snapshot thread renders concurrently
+  obs::MetricsRegistry m;
   m.counter("a.count").add(1);
+  const auto render = [&] {
+    std::lock_guard<std::mutex> guard(mutex);
+    return m.renderProm();
+  };
   {
-    obs::TelemetrySnapshotter snap(m, dir / "m.prom", 50);
+    obs::TelemetrySnapshotter snap(render, dir / "m.prom", 50);
+    std::lock_guard<std::mutex> guard(mutex);
     m.counter("a.count").add(1);
   }  // destruction stops the thread and writes one final snapshot
   std::ifstream in(dir / "m.prom");

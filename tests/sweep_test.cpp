@@ -1,6 +1,7 @@
 // iop::sweep — campaign parsing, content-addressed caching, executor
 // determinism (-j1 == -jN byte-identical stores), resume and gc.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/runtime.hpp"
 #include "sweep/campaign.hpp"
 #include "sweep/executor.hpp"
@@ -54,6 +58,13 @@ std::map<std::string, std::string> snapshotTree(
     tree[entry.path().lexically_relative(root).string()] = buffer.str();
   }
   return tree;
+}
+
+std::string readFileText(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 class TempDir {
@@ -787,39 +798,277 @@ TEST(SweepExecutor, CancelSkipsUntakenCellsAndResumeConverges) {
 
 // --- runtime telemetry --------------------------------------------------
 
-TEST(RuntimeTelemetry, ConcurrentInstrumentUpdatesAreLossless) {
-  // The hot-path contract: any number of workers may hammer the same
-  // counter / gauge / histogram concurrently without losing updates.
-  // (The TSan CI flavor builds exactly this test binary.)
-  obs::RuntimeMetrics metrics;
-  auto& counter = metrics.counter("sweep.cells");
-  auto& gauge = metrics.gauge("sim.arena_bytes");
-  auto& hist =
-      metrics.histogram("sweep.replay_seconds", {0.001, 0.01, 0.1});
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
+/// `name`'s counter value, or -1 when the registry has no such counter.
+double counterValue(const obs::MetricsRegistry& metrics,
+                    const std::string& name) {
+  const auto* counter = metrics.findCounter(name);
+  return counter != nullptr ? counter->value() : -1;
+}
+
+/// After a run, the registry's run totals equal the outcome's fields.
+void expectRegistryMatchesOutcome(const obs::MetricsRegistry& metrics,
+                                  const sweep::SweepOutcome& outcome) {
+  const auto expect = [&](const char* name, std::size_t value) {
+    EXPECT_DOUBLE_EQ(counterValue(metrics, name),
+                     static_cast<double>(value))
+        << name;
+  };
+  expect("sweep.cells", outcome.cells.size());
+  expect("sweep.cache_hits", outcome.cacheHits);
+  expect("sweep.shared_hits", outcome.sharedHits);
+  expect("sweep.computed", outcome.computed);
+  expect("sweep.failures", outcome.failures);
+  expect("sweep.skipped", outcome.skipped);
+  expect("sweep.quarantined", outcome.quarantined);
+  expect("sweep.ior_runs", outcome.iorRuns);
+  expect("sweep.cells_stuck", outcome.stuck);
+}
+
+/// The sorted member names of every line of `jsonl`, one
+/// "<event>: <names>" entry per line.  `prefix` turns a log line into a
+/// journal-shaped one so obs::parseJournal can read both.
+std::vector<std::string> fieldNamesPerLine(const std::string& jsonl,
+                                           const std::string& prefix = {}) {
+  std::vector<std::string> out;
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!prefix.empty()) line = prefix + line.substr(1);
+    const auto parsed = obs::parseJournal(line + "\n");
+    EXPECT_EQ(parsed.badLines, 0u) << line;
+    if (parsed.events.empty()) continue;
+    std::string entry = parsed.events[0].name + ":";
+    for (const auto& [key, value] : parsed.events[0].fields) {
+      if (!prefix.empty() && key == "t") continue;
+      entry += " " + key;
+    }
+    out.push_back(entry);
+  }
+  return out;
+}
+
+/// Every hook once, in lifecycle order, against `telemetry`.
+void callEveryHook(sweep::SweepTelemetry& telemetry, std::size_t worker) {
+  telemetry.campaignStart("vocab", "0123456789abcdef", 2);
+  telemetry.modelCacheHit("m-cached");
+  telemetry.modelCharacterized("m", 4, 0.25);
+  telemetry.characterizeSpan(worker, "m", 0.0, 0.25);
+  telemetry.execStart(4, 1, 1, 2, 2);
+  telemetry.cacheHit("m @ A", "k0", /*shared=*/false);
+  telemetry.cacheHit("m @ B", "k1", /*shared=*/true);
+  telemetry.cellQuarantined("m @ C", "k2", "checksum mismatch",
+                            /*shared=*/false);
+  telemetry.cellLoaded("store", true);
+  telemetry.cellLoaded("store", false);
+  telemetry.workerSpawn(worker);
+  telemetry.cellClaim(worker, "m @ C", "k2");
+  telemetry.cellCommit(worker, "m @ C", "k2", 0.5, 0.75, 0.8, 12.5, 3,
+                       /*faulted=*/true);
+  telemetry.cellSaved("store", 100);
+  telemetry.captureSaved();
+  telemetry.cellClaim(worker, "m @ D", "k3");
+  telemetry.cellFailed(worker, "m @ D", "k3", 0.8, 0.9, "boom");
+  telemetry.cellClaim(worker, "m @ E", "k4");
+  telemetry.cellSlow(worker, "m @ E", "k4", 0.05);
+  telemetry.cellSlowResolved();
+  telemetry.cellStuck(worker, "m @ E", "k4", 1, 0.1, /*retrying=*/true);
+  telemetry.cellClaim(worker, "m @ E", "k4");
+  telemetry.cellStuck(worker, "m @ E", "k4", 2, 0.1, /*retrying=*/false);
+  telemetry.arenaTrimmed(worker, 16, 64);
+  telemetry.shutdownNoticed();
+  telemetry.cellsSkipped(1);
+  telemetry.workerIdle(worker);
+  telemetry.runComplete(sweep::SweepOutcome{});
+}
+
+TEST(RuntimeTelemetry, JournalAndLogVocabularyIsPinned) {
+  // The iop-journal/1 schema: every event name with its sorted field
+  // names.  A change here is a schema change — bump kSchema with it.
+  const std::vector<std::string> journalTable = {
+      "journal_start: event pid schema t unix_ms",
+      "campaign_start: campaign config event jobs t",
+      "model_cache_hit: event model t",
+      "model_characterized: event model phases seconds t",
+      "exec_start: cached cells event pending shared t workers",
+      "cache_hit: cell event key t",
+      "shared_hit: cell event key t",
+      "cell_quarantined: cell error event key shared t",
+      "worker_spawn: event t worker",
+      "cell_claim: cell event key t worker",
+      "cell_commit: cell commit_seconds event faulted ior_runs key seconds "
+      "t time_io worker",
+      "cell_claim: cell event key t worker",
+      "cell_failed: cell error event key seconds t worker",
+      "cell_claim: cell event key t worker",
+      "cell_slow: cell deadline_s event key t worker",
+      "cell_stuck: attempt cell deadline_s event key retry t worker",
+      "cell_claim: cell event key t worker",
+      "cell_stuck: attempt cell deadline_s event key retry t worker",
+      "shutdown_requested: event t",
+      "cells_skipped: count event t",
+      "worker_idle: event t worker",
+      "run_complete: cache_hits cells computed event failures interrupted "
+      "quarantined shared_hits skipped t wall_seconds",
+  };
+  // The log carries the same events at their levels, without the fields
+  // that depend on wall-clock time (seconds, commit_seconds,
+  // wall_seconds) or on scheduling (worker).
+  const std::vector<std::string> logTable = {
+      "campaign_start: campaign component config event jobs level",
+      "model_cache_hit: component event level model",
+      "model_characterized: component event level model phases",
+      "exec_start: cached cells component event level pending shared "
+      "workers",
+      "cache_hit: cell component event key level",
+      "shared_hit: cell component event key level",
+      "cell_quarantined: cell component error event key level shared",
+      "worker_spawn: component event level",
+      "cell_claim: cell component event key level",
+      "cell_commit: cell component event faulted ior_runs key level "
+      "time_io",
+      "cell_claim: cell component event key level",
+      "cell_failed: cell component error event key level",
+      "cell_claim: cell component event key level",
+      "cell_slow: cell component deadline_s event key level",
+      "cell_stuck: attempt cell component deadline_s event key level retry",
+      "cell_claim: cell component event key level",
+      "cell_stuck: attempt cell component deadline_s event key level retry",
+      "shutdown_requested: component event level",
+      "cells_skipped: component count event level",
+      "worker_idle: component event level",
+      "run_complete: cache_hits cells component computed event failures "
+      "interrupted level quarantined shared_hits skipped",
+  };
+
+  TempDir dir("vocabulary");
+  obs::Logger log(obs::LogLevel::Debug);
+  std::string logText;
+  log.captureTo(&logText);
+  sweep::TelemetryConfig config;
+  config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+  config.log = &log;
+  {
+    sweep::SweepTelemetry telemetry(config);
+    callEveryHook(telemetry, 0);
+  }
+  EXPECT_EQ(fieldNamesPerLine(readFileText(config.journalPath)),
+            journalTable);
+  EXPECT_EQ(fieldNamesPerLine(logText, "{\"t\":0,"), logTable);
+
+  // Levels: events logged before the one event path keep theirs.
+  std::map<std::string, std::string> levels;
+  std::istringstream in(logText);
+  for (std::string line; std::getline(in, line);) {
+    const auto parsed = obs::parseJournal("{\"t\":0," + line.substr(1) + "\n");
+    ASSERT_EQ(parsed.events.size(), 1u) << line;
+    levels[parsed.events[0].name] = *parsed.events[0].field("level");
+  }
+  for (const char* info : {"model_cache_hit", "model_characterized",
+                           "cache_hit", "shared_hit", "cell_commit",
+                           "run_complete"}) {
+    EXPECT_EQ(levels[info], "info") << info;
+  }
+  for (const char* warn :
+       {"cell_quarantined", "cell_failed", "cell_slow", "cell_stuck"}) {
+    EXPECT_EQ(levels[warn], "warn") << warn;
+  }
+}
+
+TEST(RuntimeTelemetry, ConcurrentHooksKeepExactTotals) {
+  // Every hook from 8 threads at once, with the journal, exec trace,
+  // snapshotter and logger on: one lock serialises the sinks, so no
+  // update is lost and no journal line is torn or out of order.  (The
+  // TSan CI flavor builds exactly this test binary.)
+  TempDir dir("concurrent_hooks");
+  obs::Logger log(obs::LogLevel::Debug);
+  std::string logText;
+  log.captureTo(&logText);
+  sweep::TelemetryConfig config;
+  config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+  config.telemetryOut = (dir.path() / "metrics.prom").string();
+  config.telemetryIntervalMs = 10;
+  config.execTraceOut = (dir.path() / "trace.json").string();
+  config.log = &log;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 10;
+  constexpr std::size_t kCalls = kThreads * kPerThread;
+  sweep::SweepTelemetry telemetry(config);
   std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        counter.add(1);
-        gauge.add(1.0);
-        hist.observe(0.005 * ((t + i) % 3 + 1));
-        // Registration while others increment must also be safe.
-        metrics.counter("sweep.computed").add(1);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&telemetry, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        callEveryHook(telemetry, t);
       }
     });
   }
   for (auto& th : pool) th.join();
-  const auto total =
-      static_cast<std::uint64_t>(kThreads) * kPerThread;
-  EXPECT_EQ(counter.value(), total);
-  EXPECT_EQ(metrics.counter("sweep.computed").value(), total);
-  EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(total));
-  EXPECT_EQ(hist.count(), total);
-  std::uint64_t bucketSum = 0;
-  for (const auto c : hist.bucketCounts()) bucketSum += c;
-  EXPECT_EQ(bucketSum, total);
+  telemetry.finish();
+
+  const obs::MetricsRegistry& metrics = telemetry.runtime();
+  const auto expect = [&](const char* name, std::size_t perCall) {
+    EXPECT_DOUBLE_EQ(counterValue(metrics, name),
+                     static_cast<double>(perCall * kCalls))
+        << name;
+  };
+  expect("sweep.model_cache_hits", 1);
+  expect("sweep.characterized", 1);
+  expect("sweep.cells", 4);
+  expect("sweep.pending", 2);
+  expect("sweep.cache_hits", 2);
+  expect("sweep.shared_hits", 1);
+  expect("sweep.quarantined", 1);
+  expect("sweep.worker_spawns", 1);
+  expect("sweep.computed", 1);
+  expect("sweep.ior_runs", 3);
+  expect("sweep.failures", 2);  // cell_failed + the terminal cell_stuck
+  expect("sweep.cells_slow", 1);
+  expect("sweep.cells_stuck", 2);
+  expect("sweep.skipped", 1);
+  expect("sim.arena_trim_bytes", 16);
+  expect("store.cell_loads", 1);
+  expect("store.quarantines", 1);
+  expect("store.cell_commits", 1);
+  expect("store.cell_bytes", 100);
+  expect("store.capture_commits", 1);
+  EXPECT_DOUBLE_EQ(counterValue(metrics, "sweep.shutdowns"), 1);
+  EXPECT_DOUBLE_EQ(metrics.findGauge("sweep.workers_busy")->value(), 0);
+  EXPECT_DOUBLE_EQ(metrics.findGauge("sweep.slow_cells")->value(), 0);
+  EXPECT_EQ(metrics.findHistogram("sweep.replay_seconds")->count(), kCalls);
+  EXPECT_EQ(metrics.findHistogram("sweep.resolve_seconds")->count(),
+            kCalls);
+
+  // 20 journaled events per call; journal_start and one
+  // shutdown_requested on top.  Every line whole, `t` never decreasing.
+  const auto parsed = obs::loadJournal(config.journalPath);
+  EXPECT_EQ(parsed.badLines, 0u);
+  EXPECT_EQ(parsed.events.size(), 20 * kCalls + 2);
+  for (std::size_t i = 1; i < parsed.events.size(); ++i) {
+    ASSERT_LE(parsed.events[i - 1].t, parsed.events[i].t) << "line " << i;
+  }
+  // The log has the same events, journal_start aside.
+  std::size_t logLines = 0;
+  for (const char c : logText) logLines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(logLines, 20 * kCalls + 1);
+  EXPECT_EQ(log.lineCount(), logLines);
+
+  // Trace: 4 spans, 6 instants and 1 counter sample per call (plus the
+  // one shutdown instant); the final snapshot holds the final state.
+  const std::string trace = readFileText(config.execTraceOut);
+  const auto occurrences = [&trace](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("\"ph\":\"X\""), 4 * kCalls);
+  EXPECT_EQ(occurrences("\"ph\":\"i\""), 6 * kCalls + 1);
+  EXPECT_EQ(occurrences("\"ph\":\"C\""), kCalls);
+  EXPECT_NE(readFileText(config.telemetryOut)
+                .find("iop_sweep_computed_total " + std::to_string(kCalls) +
+                      "\n"),
+            std::string::npos);
 }
 
 TEST(RuntimeTelemetry, ProgressMeterCountsEvaluatedCellsOnly) {
@@ -916,13 +1165,66 @@ TEST(RuntimeTelemetry, SweepWithTelemetryIsByteIdenticalToWithout) {
   EXPECT_TRUE(pm.inFlight.empty());
 
   // Metrics agree with the executor's own accounting.
-  const auto* computed =
-      telemetry.runtime().findCounter("sweep.computed");
-  ASSERT_NE(computed, nullptr);
-  EXPECT_EQ(computed->value(), 12u);
-  const auto* commits = telemetry.runtime().findCounter("store.cell_commits");
-  ASSERT_NE(commits, nullptr);
-  EXPECT_EQ(commits->value(), 12u);
+  expectRegistryMatchesOutcome(telemetry.runtime(), instrumented);
+  EXPECT_DOUBLE_EQ(counterValue(telemetry.runtime(), "store.cell_commits"),
+                   12);
+}
+
+TEST(RuntimeTelemetry, JournalTimeNeverDecreasesAtJ4) {
+  // Four workers journal concurrently; `t` is stamped under the
+  // journal's lock, so lines land in time order.
+  const auto campaign = resolveTestCampaign();
+  TempDir dir("journal_order");
+  sweep::TelemetryConfig config;
+  config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+  sweep::SweepTelemetry telemetry(config);
+  sweep::CampaignStore store(dir.path());
+  sweep::SweepOptions options;
+  options.jobs = 4;
+  options.telemetry = &telemetry;
+  const auto outcome = sweep::runSweep(campaign, store, options);
+  telemetry.finish();
+  EXPECT_EQ(outcome.computed, 12u);
+  const auto parsed = obs::loadJournal(config.journalPath);
+  EXPECT_EQ(parsed.badLines, 0u);
+  ASSERT_GT(parsed.events.size(), 24u);  // claims + commits at least
+  for (std::size_t i = 1; i < parsed.events.size(); ++i) {
+    EXPECT_LE(parsed.events[i - 1].t, parsed.events[i].t) << "line " << i;
+  }
+}
+
+TEST(RuntimeTelemetry, RegistryMatchesOutcomeOnFaultedAndDedupedRuns) {
+  // Faulted cells (seeded replicas) at -j4, then a campaign whose two
+  // cells share one key: the follower has no events of its own, and the
+  // run totals still land in the registry.
+  TempDir dir("registry_faulted");
+  const auto faulted = resolveFaultCampaign(dir);
+  {
+    sweep::SweepTelemetry telemetry(sweep::TelemetryConfig{});
+    TempDir storeDir("registry_faulted_store");
+    sweep::CampaignStore store(storeDir.path());
+    sweep::SweepOptions options;
+    options.jobs = 4;
+    options.telemetry = &telemetry;
+    const auto outcome = sweep::runSweep(faulted, store, options);
+    telemetry.finish();
+    EXPECT_EQ(outcome.computed, 6u);
+    expectRegistryMatchesOutcome(telemetry.runtime(), outcome);
+  }
+  const auto dup =
+      resolveTestCampaign("name dup\napp example\nconfig A\nconfig A\n");
+  sweep::SweepTelemetry telemetry(sweep::TelemetryConfig{});
+  TempDir storeDir("registry_dedup_store");
+  sweep::CampaignStore store(storeDir.path());
+  sweep::SweepOptions options;
+  options.jobs = 2;
+  options.telemetry = &telemetry;
+  const auto outcome = sweep::runSweep(dup, store, options);
+  telemetry.finish();
+  EXPECT_EQ(outcome.computed, 2u);
+  expectRegistryMatchesOutcome(telemetry.runtime(), outcome);
+  EXPECT_DOUBLE_EQ(counterValue(telemetry.runtime(), "store.cell_commits"),
+                   1);  // one evaluation, one commit
 }
 
 TEST(Postmortem, ReconstructsInFlightCellsFromTornJournal) {
@@ -1005,6 +1307,77 @@ TEST(Postmortem, NewestJournalPicksLargestTimestamp) {
             "run-1700000000002-3.jsonl");
 }
 
+TEST(Postmortem, HostileJournalsNeverCrash) {
+  // Numbers no integer field can hold read as absent, and a line whose
+  // `t` is not finite is a bad line (in-flight cells are sorted by it).
+  const auto hostile = sweep::analyzeJournal(obs::parseJournal(
+      "{\"t\":0.0,\"event\":\"journal_start\",\"schema\":\"iop-journal/1\","
+      "\"unix_ms\":1e300,\"pid\":1e300}\n"
+      "{\"t\":0.1,\"event\":\"campaign_start\",\"campaign\":\"h\","
+      "\"jobs\":-99999999999999999999}\n"
+      "{\"t\":0.2,\"event\":\"exec_start\",\"cells\":nan,\"pending\":-1,"
+      "\"workers\":2.5}\n"
+      "{\"t\":0.3,\"event\":\"cell_claim\",\"worker\":-5,\"cell\":\"a\","
+      "\"key\":\"k0\"}\n"
+      "{\"t\":nan,\"event\":\"cell_claim\",\"worker\":1,\"cell\":\"b\","
+      "\"key\":\"k1\"}\n"
+      "{\"t\":inf,\"event\":\"cell_claim\",\"worker\":1,\"cell\":\"c\","
+      "\"key\":\"k2\"}\n"
+      "{\"t\":0.4,\"event\":\"cells_skipped\",\"count\":1e19}\n"));
+  EXPECT_EQ(hostile.badLines, 2u);
+  EXPECT_EQ(hostile.startUnixMs, 0);
+  EXPECT_EQ(hostile.pid, 0);
+  EXPECT_EQ(hostile.jobs, 0);
+  EXPECT_EQ(hostile.cells, 0u);
+  EXPECT_EQ(hostile.pending, 0u);
+  EXPECT_EQ(hostile.workers, 0u);
+  EXPECT_EQ(hostile.skippedCells, 0u);
+  ASSERT_EQ(hostile.inFlight.size(), 1u);
+  EXPECT_EQ(hostile.inFlight[0].worker, 0u);
+  EXPECT_FALSE(sweep::renderPostmortem(hostile, "h.jsonl").empty());
+
+  // A real -j2 journal: every truncation and every single-bit flip goes
+  // through parse -> analyze -> render without crashing (the sanitizer
+  // flavors turn any undefined conversion into a failure).
+  const auto campaign = resolveTestCampaign(
+      "name pm-corpus\napp example\nconfig A\nconfig B\n"
+      "degrade-disks 1 4\n");
+  TempDir dir("postmortem_corpus");
+  sweep::TelemetryConfig config;
+  config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+  sweep::SweepTelemetry telemetry(config);
+  telemetry.campaignStart(campaign.spec.name, "0123456789abcdef", 2);
+  sweep::CampaignStore store(dir.path());
+  sweep::SweepOptions options;
+  options.jobs = 2;
+  options.telemetry = &telemetry;
+  sweep::runSweep(campaign, store, options);
+  telemetry.finish();
+  const std::string full = readFileText(config.journalPath);
+  const auto whole = sweep::analyzeJournal(obs::parseJournal(full));
+  ASSERT_TRUE(whole.complete);
+  ASSERT_EQ(whole.commits, 4u);
+
+  std::size_t survived = 0;
+  const auto digest = [&survived](const std::string& text) {
+    const auto pm = sweep::analyzeJournal(obs::parseJournal(text));
+    survived += sweep::renderPostmortem(pm, "corpus.jsonl").empty() ? 0 : 1;
+    return pm;
+  };
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    const auto pm = digest(full.substr(0, len));
+    EXPECT_LE(pm.commits, whole.commits);
+  }
+  for (std::size_t byte = 0; byte < full.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = full;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      digest(flipped);
+    }
+  }
+  EXPECT_EQ(survived, full.size() * 9);
+}
+
 /// Set an environment variable for the lifetime of one scope.
 class ScopedEnv {
  public:
@@ -1016,13 +1389,6 @@ class ScopedEnv {
  private:
   const char* name_;
 };
-
-std::string readFileText(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   // One cell, delayed 300ms past a 50ms soft deadline: the run journals
@@ -1055,11 +1421,33 @@ TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   EXPECT_EQ(slow->value(), 1u);
 }
 
+/// Finished cell evaluations in this process, abandoned watchdog attempts
+/// included (each closes a "sweep.cell" profiler scope).
+std::uint64_t cellEvaluations() {
+  return obs::Profiler::global().stats()["sweep.cell"].calls;
+}
+
+/// Wait until `count` cell evaluations have finished.  An abandoned
+/// attempt keeps computing on its detached thread after runSweep returns;
+/// reading the count under the profiler's lock orders everything that
+/// thread did before this test goes on (or the process exits).
+void awaitCellEvaluations(std::uint64_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (cellEvaluations() < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(cellEvaluations(), count) << "abandoned evaluation never ended";
+}
+
 TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
-  // Attempt 1 sleeps 600ms against a 150ms hard deadline and is
-  // abandoned; the retry (no delay) succeeds, so the run completes with
-  // stuck=1, no failures, a quarantine marker, and — the core invariant
-  // — a store byte-identical to one written with the watchdog off.
+  // Attempt 1 sleeps 1.5s against a 0.75s hard deadline and is
+  // abandoned; the retry (no delay; the deadline leaves room for a
+  // sanitizer build's slower evaluation) succeeds, so the run completes
+  // with stuck=1, no failures, a quarantine marker, and — the core
+  // invariant — a store byte-identical to one written with the watchdog
+  // off.
   const auto campaign =
       resolveTestCampaign("name tiny\napp example\nconfig A\n");
   TempDir plain("watchdog_off");
@@ -1068,13 +1456,14 @@ TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
   const auto expected = snapshotTree(plain.path());
 
   TempDir dir("watchdog_hard");
-  ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS", "600");
+  ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS", "1500");
+  const std::uint64_t evaluations = cellEvaluations() + 2;  // both attempts
   sweep::TelemetryConfig config;
   config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
   sweep::SweepTelemetry telemetry(config);
   sweep::CampaignStore store(dir.path());
   sweep::SweepOptions options;
-  options.hardDeadlineSeconds = 0.15;
+  options.hardDeadlineSeconds = 0.75;
   options.telemetry = &telemetry;
   const auto outcome = sweep::runSweep(campaign, store, options);
   telemetry.finish();
@@ -1112,22 +1501,29 @@ TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
   ASSERT_NE(stuck, nullptr);
   EXPECT_EQ(stuck->value(), 1u);
 
-  // The abandoned evaluation thread may still be sleeping; give it time
-  // to drain before the campaign (which it references) is destroyed.
-  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  awaitCellEvaluations(evaluations);
 }
 
 TEST(SweepWatchdog, SecondTimeoutFailsTheCellTerminally) {
   // Both attempts overrun the deadline: the cell fails with a "stuck"
-  // error instead of retrying forever.
+  // error instead of retrying forever, and the registry counts the
+  // failure like any other.
   const auto campaign =
       resolveTestCampaign("name tiny\napp example\nconfig A\n");
   TempDir dir("watchdog_terminal");
   ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_MS", "500");
+  const std::uint64_t evaluations = cellEvaluations() + 2;  // both attempts
+  sweep::SweepTelemetry telemetry(sweep::TelemetryConfig{});
   sweep::CampaignStore store(dir.path());
   sweep::SweepOptions options;
   options.hardDeadlineSeconds = 0.1;
+  options.telemetry = &telemetry;
   const auto outcome = sweep::runSweep(campaign, store, options);
+  telemetry.finish();
+  expectRegistryMatchesOutcome(telemetry.runtime(), outcome);
+  EXPECT_NE(telemetry.runtime().renderProm().find(
+                "iop_sweep_failures_total 1\n"),
+            std::string::npos);
 
   EXPECT_EQ(outcome.stuck, 2u);  // both attempts
   EXPECT_EQ(outcome.failures, 1u);
@@ -1136,7 +1532,7 @@ TEST(SweepWatchdog, SecondTimeoutFailsTheCellTerminally) {
   const std::string key = campaign.planCells()[0].key;
   EXPECT_TRUE(std::filesystem::exists(dir.path() / "quarantine" /
                                       (key + ".stuck.2")));
-  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  awaitCellEvaluations(evaluations);
 }
 
 #ifdef __linux__

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Local CI: build and test the three flavors we care about — an optimized
-# Release build, AddressSanitizer, and UndefinedBehaviorSanitizer.
+# Local CI: build and test the flavors we care about — an optimized
+# Release build, AddressSanitizer and UndefinedBehaviorSanitizer over the
+# full suite, and ThreadSanitizer over the multithreaded sweep layer.
 #
 #   tools/ci.sh [jobs]
 #
@@ -31,7 +32,14 @@ run_flavor release -DCMAKE_BUILD_TYPE=Release -DIOP_SANITIZE=
 export ASAN_OPTIONS=detect_leaks=0
 run_flavor asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DIOP_SANITIZE=address
 unset ASAN_OPTIONS
-run_flavor ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DIOP_SANITIZE=undefined
+# UBSan reports are fatal: without halt_on_error a report is printed and
+# the test still passes.  GCC leaves float-cast-overflow out of
+# `undefined`, and a double -> integer conversion of hostile input (a
+# journal's "pid":1e300, say) is exactly what it catches.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+run_flavor ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DIOP_SANITIZE=undefined,float-cast-overflow
+unset UBSAN_OPTIONS
 
 # ThreadSanitizer covers the one multithreaded subsystem: the sweep
 # layer — the cell-evaluation executor (including the fault-injected
@@ -39,9 +47,10 @@ run_flavor ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DIOP_SANITIZE=undefined
 # and the cancel/resume path), the parallel app characterization at
 # campaign resolve (CampaignResolve.ParallelCharacterizationMatchesSerial,
 # with the shared thread-local FrameArena under concurrent engines), and
-# the runtime-telemetry instruments hammered from every worker
-# (RuntimeTelemetry.ConcurrentInstrumentUpdatesAreLossless, plus the
-# journal/snapshotter threads of the byte-identity test).
+# the run's telemetry, whose one lock serialises every sink: every hook
+# called from 8 threads at once with the journal, exec trace, snapshot
+# thread and logger on (RuntimeTelemetry.ConcurrentHooksKeepExactTotals),
+# plus the journal/snapshotter threads of the byte-identity test.
 # Building only its test keeps the flavor cheap; everything else in the
 # tree is single-threaded by design.  The ASan/UBSan flavors above run the
 # full suite, so the hostile-input trace corpus (TraceFileHostile.*) and

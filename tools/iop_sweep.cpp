@@ -17,12 +17,14 @@
 // recorder journal (<store>/journal/run-*.jsonl, written by default) and
 // names the cells that were in flight when a crashed run ended.
 //
-// Runtime telemetry: every `run` journals its lifecycle events;
-// --telemetry-out FILE additionally snapshots live Prometheus-style
-// metrics on a timer, --progress draws a status line, and
-// --exec-trace-out FILE exports the execution itself (one track per
-// worker) as a Chrome/Perfetto trace.  None of this perturbs results:
-// the store bytes are identical with telemetry on or off.
+// Runtime telemetry: every `run` journals its lifecycle events and logs
+// them at --log-level; --telemetry-out FILE additionally snapshots the
+// run's metrics registry as Prometheus text on a timer, --metrics-out
+// FILE writes the same registry as CSV at the end, --progress draws a
+// status line, and --exec-trace-out FILE exports the execution itself
+// (one track per worker) as a Chrome/Perfetto trace.  None of this
+// perturbs results: the store bytes are identical with telemetry on or
+// off.
 //
 // Exit codes: 0 ok, 1 cell failures (or missing cells in report, or an
 // incomplete journal in postmortem), 2 usage or campaign errors.
@@ -143,8 +145,10 @@ std::string journalFileName() {
 /// content-addressed areas of the store, and is the only record of what a
 /// crashed run was doing.
 sweep::TelemetryConfig telemetryConfig(const util::Args& args,
-                                       const sweep::CampaignStore& store) {
+                                       const sweep::CampaignStore& store,
+                                       obs::Logger& log) {
   sweep::TelemetryConfig config;
+  config.log = &log;
   if (!args.flag("no-journal")) {
     config.journalPath =
         (store.root() / "journal" / journalFileName()).string();
@@ -170,9 +174,13 @@ LoadedCampaign loadFor(const util::Args& args, obs::Logger& log, int jobs) {
   sweep::CampaignStore store(args.get("store"));
   std::string shared = sharedStorePath(args);
   auto spec = sweep::loadCampaign(campaignPath);
+  // Log-only telemetry: characterization notices reach --log-level.
+  sweep::TelemetryConfig logOnly;
+  logOnly.log = &log;
+  sweep::SweepTelemetry telemetry(logOnly);
   sweep::ResolveOptions options;
   options.jobs = jobs;
-  options.log = &log;
+  options.telemetry = &telemetry;
   options.modelCacheDirs.push_back(store.root() / "models");
   if (!shared.empty()) {
     options.modelCacheDirs.push_back(sweep::SharedStore(shared).modelDir());
@@ -204,13 +212,12 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
 
   // Telemetry comes up before resolution so characterization events land
   // in the journal and on the exec trace too.
-  sweep::SweepTelemetry telemetry(telemetryConfig(args, store));
+  sweep::SweepTelemetry telemetry(telemetryConfig(args, store, obs.log()));
   telemetry.campaignStart(spec.name, sweep::hashHex(spec.canonicalText()),
                           jobs);
 
   sweep::ResolveOptions resolve;
   resolve.jobs = jobs;
-  resolve.log = &obs.log();
   resolve.telemetry = &telemetry;
   resolve.modelCacheDirs.push_back(store.root() / "models");
   if (!shared.empty()) {
@@ -233,11 +240,11 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
   }
   installShutdownHandlers();
 
-  obs::MetricsRegistry* metrics =
-      obs.active() ? &obs.session()->metrics() : nullptr;
-  const auto outcome =
-      sweep::runSweep(campaign, store, options, &obs.log(), metrics);
+  const auto outcome = sweep::runSweep(campaign, store, options);
   telemetry.finish();
+  // --metrics-out renders the run's one registry (iop-sweep attaches no
+  // engine, so the session's own registry is otherwise empty).
+  if (obs.active()) obs.session()->metrics().merge(telemetry.runtime());
 
   std::string note =
       shared.empty()
