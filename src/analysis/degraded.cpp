@@ -6,6 +6,7 @@
 #include "fault/injector.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/profiler.hpp"
+#include "sim/engine.hpp"
 
 namespace iop::analysis {
 
@@ -38,6 +39,8 @@ FaultReplica runReplica(const core::IOModel& model,
     replica.timeIo = runtime.runToCompletion(
         makeSyntheticApp(model, config.mount, &clock));
     replica.ok = true;
+  } catch (const sim::DeadlineExceeded&) {
+    throw;  // the caller's wall-clock budget ran out: not a replica result
   } catch (const std::exception& e) {
     replica.error = e.what();
   }

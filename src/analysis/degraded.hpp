@@ -64,7 +64,9 @@ double medianOf(std::vector<double> values);
 /// Replay `model` on fresh instances of the builder's configuration under
 /// `plan`, once per seed.  A replica whose run throws (retries exhausted,
 /// no failover possible) is recorded as failed rather than aborting the
-/// estimate; min/median/max cover the surviving replicas only.
+/// estimate; min/median/max cover the surviving replicas only.  A
+/// sim::DeadlineExceeded from an engine the builder armed is not a replica
+/// outcome and propagates.
 DegradedEstimate estimateDegraded(const core::IOModel& model,
                                   const ConfigBuilder& builder,
                                   const fault::FaultPlan& plan,

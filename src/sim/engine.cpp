@@ -1,6 +1,9 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <thread>
+#include <utility>
 
 #include "obs/hub.hpp"
 
@@ -24,6 +27,27 @@ inline std::uint64_t foldWord(std::uint64_t h, std::uint64_t word) noexcept {
 
 }  // namespace
 }  // namespace detail
+
+Deadline::Deadline(Clock::time_point soft, Clock::time_point hard,
+                   std::function<void()> onSoft)
+    : soft_(soft), hard_(hard), onSoft_(std::move(onSoft)) {}
+
+void Deadline::poll() {
+  untilPoll_ = kPollInterval;
+  const Clock::time_point now = Clock::now();
+  if (onSoft_ && now >= soft_) std::exchange(onSoft_, nullptr)();
+  if (now >= hard_) throw DeadlineExceeded("wall-clock deadline exceeded");
+}
+
+void Deadline::sleepFor(Clock::duration duration) {
+  const Clock::time_point wake = Clock::now() + duration;
+  if (onSoft_ && soft_ < wake) {
+    std::this_thread::sleep_until(std::min(soft_, hard_));
+    poll();
+  }
+  std::this_thread::sleep_until(std::min(wake, hard_));
+  poll();
+}
 
 Engine::Engine(std::uint64_t seed) : rng_(seed) {}
 
@@ -69,6 +93,7 @@ void Engine::dispatchUntil(Time limit, bool bounded) {
     if (obs_ != nullptr) [[unlikely]] observeDispatch();
     ev.handle.resume();
     if (firstException_) [[unlikely]] throwIfFailed();
+    if (deadline_ != nullptr) [[unlikely]] deadline_->tick();
   }
 }
 

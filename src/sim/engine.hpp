@@ -10,9 +10,11 @@
 // never drifts.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <coroutine>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +38,49 @@ class DeadlockError : public std::runtime_error {
  public:
   explicit DeadlockError(const std::string& what)
       : std::runtime_error(what) {}
+};
+
+/// Thrown once an attached Deadline's hard point has passed.  It unwinds
+/// like DeadlockError: the engine stops between two dispatches and the
+/// processes suspended in it are abandoned.
+class DeadlineExceeded : public std::runtime_error {
+ public:
+  explicit DeadlineExceeded(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
+/// A wall-clock budget shared by the engines of one job.  Each counts its
+/// dispatches on it and polls it every kPollInterval of them, between
+/// resumes: one clock read that runs the soft callback (once) past the
+/// soft point and throws DeadlineExceeded past the hard one.  Polling
+/// touches neither the RNG nor the ready queue, so a deadline that does
+/// not expire leaves the run bit-identical.  Engines keep its address.
+class Deadline {
+ public:
+  using Clock = std::chrono::steady_clock;
+  static constexpr std::uint32_t kPollInterval = 4096;
+
+  /// Clock::time_point::max() disarms a point.
+  Deadline(Clock::time_point soft, Clock::time_point hard,
+           std::function<void()> onSoft);
+  Deadline(const Deadline&) = delete;
+  Deadline& operator=(const Deadline&) = delete;
+
+  /// Count one dispatch; poll when the interval is up.
+  void tick() {
+    if (--untilPoll_ == 0) poll();
+  }
+  /// Sleep under the deadline: the soft callback fires on time, and the
+  /// sleep ends in DeadlineExceeded at the hard point.
+  void sleepFor(Clock::duration duration);
+
+ private:
+  void poll();
+
+  Clock::time_point soft_;
+  Clock::time_point hard_;
+  std::function<void()> onSoft_;  ///< emptied once it has run
+  std::uint32_t untilPoll_ = kPollInterval;
 };
 
 class Engine {
@@ -129,6 +174,10 @@ class Engine {
   }
   obs::Hub* obs() const noexcept { return obs_; }
 
+  /// Attach (or detach, with nullptr) a wall-clock deadline, polled from
+  /// run(), runUntil() and drain().  It must outlive those calls.
+  void setDeadline(Deadline* deadline) noexcept { deadline_ = deadline; }
+
   /// Seconds of simulated time between engine-level counter samples
   /// (queue depth / dispatch rate) in the exported trace.
   void setObsSampleInterval(Time interval) noexcept {
@@ -162,6 +211,7 @@ class Engine {
   detail::CalendarQueue queue_;
   std::exception_ptr firstException_{};
   util::Rng rng_;
+  Deadline* deadline_ = nullptr;
 
   obs::Hub* obs_ = nullptr;
   Time obsSampleInterval_ = 0.1;

@@ -3,20 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "analysis/degraded.hpp"
 #include "analysis/multiop.hpp"
 #include "analysis/replay.hpp"
 #include "obs/profiler.hpp"
+#include "sim/engine.hpp"
 #include "sim/framepool.hpp"
 #include "sweep/telemetry.hpp"
 #include "tenant/cosched.hpp"
@@ -24,40 +23,19 @@
 
 namespace iop::sweep {
 
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Result slot shared between a worker and the detached evaluation thread
-/// the watchdog supervises.  The thread owns `result`/`error` until it
-/// flips `done`; after a hard-deadline abandonment nobody reads them, so
-/// the thread can finish (or hang) without touching anything the run
-/// still cares about.
-struct EvalTask {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  bool failed = false;
-  CellResult result;
-  std::string error;
-};
-
-}  // namespace
-
 CellResult evaluateCell(const ResolvedCampaign& campaign,
-                        const CellSpec& cell) {
-  IOP_PROFILE_SCOPE("sweep.cell");
+                        const CellSpec& cell, sim::Deadline* deadline) {
   const ResolvedModel& model = campaign.models[cell.modelIndex];
   const ResolvedConfig& config = campaign.configs[cell.configIndex];
 
   // Every measurement runs on a fresh, cold, private instance of the
-  // candidate configuration with the cell's fault factors applied.
-  analysis::ConfigBuilder builder = [&config, &cell]() {
-    return config.build(cell.degradeDisks, cell.degradeNet);
+  // candidate configuration with the cell's fault factors applied, and
+  // every engine polls the attempt's deadline.
+  analysis::ConfigBuilder builder = [&config, &cell, deadline]() {
+    configs::ClusterConfig built =
+        config.build(cell.degradeDisks, cell.degradeNet);
+    built.engine->setDeadline(deadline);
+    return built;
   };
 
   CellResult result;
@@ -152,362 +130,258 @@ CellResult evaluateCell(const ResolvedCampaign& campaign,
   return result;
 }
 
-SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
-                      const SweepOptions& options) {
-  IOP_PROFILE_SCOPE("sweep.run");
-  if (options.jobs < 1) {
-    throw std::invalid_argument("sweep: jobs must be >= 1");
-  }
-  const auto startedAt = std::chrono::steady_clock::now();
-  SweepTelemetry* tele = options.telemetry;
+namespace {
 
-  // Wall-clock pause between claim and evaluation, so tests/CI can kill
-  // the process deterministically mid-cell.  Affects timing only — never
-  // results — and is off (0) outside the test harness.
-  int testDelayMs = 0;
-  if (const char* env = std::getenv("IOP_SWEEP_TEST_CELL_DELAY_MS")) {
-    testDelayMs = std::atoi(env);
-  }
-  // Same, but applied to a cell's *first* attempt only, so watchdog tests
-  // can make attempt 1 overrun the hard deadline and the retry succeed.
-  int testDelayOnceMs = 0;
-  if (const char* env =
-          std::getenv("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS")) {
-    testDelayOnceMs = std::atoi(env);
-  }
+using Clock = std::chrono::steady_clock;
 
-  store.initialize(campaign.spec.canonicalText(), options.force);
-  store.setTelemetry(tele);
+double secondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
 
-  std::optional<SharedStore> shared;
-  if (!options.sharedStore.empty()) {
-    shared.emplace(std::filesystem::path(options.sharedStore));
-    shared->setTelemetry(tele);
-  }
+/// What one runSweep call works on, shared by its three stages.
+struct Sweep {
+  const ResolvedCampaign& campaign;
+  CampaignStore& store;
+  SharedStore* shared;  ///< null without a shared store
+  const SweepOptions& options;
+  const std::vector<CellSpec>& plan;
+  SweepOutcome& outcome;  ///< one slot per plan cell
+};
 
-  SweepOutcome outcome;
-  const std::vector<CellSpec> plan = campaign.planCells();
-  outcome.cells.resize(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    outcome.cells[i].spec = plan[i];
-  }
+/// The cells the probe could not serve from a store.
+struct Pending {
+  std::vector<std::size_t> owners;  ///< one cell per distinct key, plan order
+  /// (owner, duplicate) pairs: identical cells are evaluated once.
+  std::vector<std::pair<std::size_t, std::size_t>> followers;
+};
 
-  // Serial cache probe, plus key-dedup: identical cells (same key) are
-  // evaluated once and share the result.
-  std::vector<std::size_t> pending;       // owner index per unique key
-  std::map<std::string, std::size_t> owners;
-  std::map<std::string, std::vector<std::size_t>> followers;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    IOP_PROFILE_SCOPE("sweep.probe");
-    const CellSpec& cell = plan[i];
-    if (!options.force && store.hasCell(cell.key)) {
-      // tryLoadCell treats a torn/corrupt file as a miss: the bad bytes
-      // move to quarantine/ and the cell drops through to recomputation.
-      std::string whyBad;
-      if (auto loaded = store.tryLoadCell(cell.key, &whyBad)) {
-        outcome.cells[i].status = CellOutcome::Status::Cached;
-        outcome.cells[i].result = std::move(*loaded);
-        // A torn capture iop-fsck quarantined leaves the cell intact but
-        // capture-less; captures are a pure function of the result, so
-        // regenerate in place and the store converges back to the bytes
-        // an uninterrupted run would have written.
-        if (options.writeCaptures &&
-            !std::filesystem::exists(store.capturePath(cell.key))) {
-          store.saveCapture(cell.key,
-                            makeCellCapture(outcome.cells[i].result));
-        }
-        ++outcome.cacheHits;
-        if (tele != nullptr) {
-          tele->cacheHit(campaign.cellTitle(cell), cell.key,
-                         /*shared=*/false);
-        }
-        continue;
-      }
-      ++outcome.quarantined;
+bool cancelled(const SweepOptions& options) {
+  return options.cancel != nullptr &&
+         options.cancel->load(std::memory_order_relaxed);
+}
+
+/// Probe stage, serial: serve cells from the campaign store, then from the
+/// shared store, set corrupt ones aside, and deduplicate the rest by key.
+Pending probe(const Sweep& run) {
+  SweepTelemetry* tele = run.options.telemetry;
+  // A hit from `from` (the shared store when `shared`); tryLoadCell moves
+  // a torn/corrupt file to quarantine/ and the cell drops through to the
+  // next source, or to recomputation.
+  const auto serve = [&](const auto& from, bool shared, std::size_t i) {
+    const CellSpec& cell = run.plan[i];
+    if (run.options.force || !from.hasCell(cell.key)) return false;
+    std::string whyBad;
+    auto loaded = from.tryLoadCell(cell.key, &whyBad);
+    if (!loaded) {
+      ++run.outcome.quarantined;
       if (tele != nullptr) {
-        tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
-                              /*shared=*/false);
+        tele->cellQuarantined(run.campaign.cellTitle(cell), cell.key,
+                              whyBad, shared);
       }
+      return false;
     }
-    if (!options.force && shared && shared->hasCell(cell.key)) {
-      // Adopt the shared result into the campaign store: cell bytes are a
-      // pure function of the key, so render() reproduces them exactly, and
-      // the regenerated capture matches what a local evaluation would have
-      // committed.
-      std::string whyBad;
-      if (auto loaded = shared->tryLoadCell(cell.key, &whyBad)) {
-        CellOutcome& out = outcome.cells[i];
-        out.status = CellOutcome::Status::Cached;
-        out.result = std::move(*loaded);
-        store.saveCell(out.result);
-        if (options.writeCaptures) {
-          store.saveCapture(cell.key, makeCellCapture(out.result));
-        }
-        ++outcome.cacheHits;
-        ++outcome.sharedHits;
-        if (tele != nullptr) {
-          tele->cacheHit(campaign.cellTitle(cell), cell.key,
-                         /*shared=*/true);
-        }
-        continue;
-      }
-      ++outcome.quarantined;
-      if (tele != nullptr) {
-        tele->cellQuarantined(campaign.cellTitle(cell), cell.key, whyBad,
-                              /*shared=*/true);
-      }
+    CellOutcome& out = run.outcome.cells[i];
+    out.status = CellOutcome::Status::Cached;
+    out.result = std::move(*loaded);
+    // Adopt a shared result into the campaign store: cell bytes are a
+    // pure function of the key, so render() reproduces them exactly.
+    if (shared) run.store.saveCell(out.result);
+    // Captures are a pure function of the result too: write the adopted
+    // cell's, and regenerate one iop-fsck quarantined, so the store
+    // converges back to the bytes an uninterrupted run would have written.
+    if (run.options.writeCaptures &&
+        (shared ||
+         !std::filesystem::exists(run.store.capturePath(cell.key)))) {
+      run.store.saveCapture(cell.key, makeCellCapture(out.result));
     }
-    auto [it, inserted] = owners.emplace(cell.key, i);
-    if (inserted) {
-      pending.push_back(i);
-    } else {
-      followers[cell.key].push_back(i);
+    ++run.outcome.cacheHits;
+    if (shared) ++run.outcome.sharedHits;
+    if (tele != nullptr) {
+      tele->cacheHit(run.campaign.cellTitle(cell), cell.key, shared);
     }
-  }
-
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(options.jobs), pending.size());
-  if (tele != nullptr) {
-    tele->execStart(plan.size(), outcome.cacheHits, outcome.sharedHits,
-                    pending.size(), workers);
-  }
-
-  // Fixed-size pool over the pending list.  Each worker owns its cell's
-  // outcome slot exclusively; the only other shared mutable state is the
-  // retry queue the watchdog feeds.
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> inFlight{0};
-  std::atomic<std::size_t> stuckCount{0};
-  std::mutex doneMutex;  // serializes options.onCellDone
-  std::mutex retryMutex;
-  std::deque<std::size_t> retryQueue;  // watchdog second attempts
-  const bool watchdog = options.hardDeadlineSeconds > 0 ||
-                        options.softDeadlineSeconds > 0;
-  // Supervised evaluations run on detached threads that may outlive this
-  // call (an abandoned one keeps computing); they share one copy of the
-  // campaign, so none ever reads memory the caller has freed.
-  const std::shared_ptr<const ResolvedCampaign> supervised =
-      watchdog ? std::make_shared<const ResolvedCampaign>(campaign) : nullptr;
-  auto cancelled = [&options]() {
-    return options.cancel != nullptr &&
-           options.cancel->load(std::memory_order_relaxed);
+    return true;
   };
+
+  Pending pending;
+  std::map<std::string, std::size_t> ownerOf;
+  for (std::size_t i = 0; i < run.plan.size(); ++i) {
+    IOP_PROFILE_SCOPE("sweep.probe");
+    if (serve(run.store, false, i) ||
+        (run.shared != nullptr && serve(*run.shared, true, i))) {
+      continue;
+    }
+    const auto [owner, inserted] = ownerOf.emplace(run.plan[i].key, i);
+    if (inserted) {
+      pending.owners.push_back(i);
+    } else {
+      pending.followers.emplace_back(owner->second, i);
+    }
+  }
+  return pending;
+}
+
+/// Milliseconds from a test-only environment variable (0 when unset).
+int envMillis(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr ? std::atoi(env) : 0;
+}
+
+/// `start` plus `seconds`, or never for a deadline that is off (0).
+Clock::time_point deadlineAt(Clock::time_point start, double seconds) {
+  if (seconds <= 0) return Clock::time_point::max();
+  return start + std::chrono::duration_cast<Clock::duration>(
+                     std::chrono::duration<double>(seconds));
+}
+
+/// Leave a marker so an operator (and iop-fsck) can tell the attempt was
+/// stopped, not merely slow.  Scratch durability: markers are advisory
+/// and must not perturb crash-point numbering.
+void writeStuckMarker(const Sweep& run, const std::string& title,
+                      const std::string& key, int attempt) {
+  try {
+    const std::filesystem::path marker =
+        run.store.root() / "quarantine" /
+        (key + ".stuck." + std::to_string(attempt));
+    std::filesystem::create_directories(marker.parent_path());
+    util::vfs::replaceFile(
+        marker,
+        "stuck: " + title + " attempt " + std::to_string(attempt) +
+            " exceeded hard deadline " +
+            std::to_string(run.options.hardDeadlineSeconds) + "s\n",
+        util::vfs::Durability::Scratch);
+  } catch (const std::exception&) {
+    // Best-effort: a marker failure must not fail the run.
+  }
+}
+
+/// Evaluate and commit one cell on the calling worker.  Each attempt runs
+/// inline under its own deadline; an attempt stopped at the hard deadline
+/// leaves a stuck marker and is retried once, at once.  Returns the number
+/// of stopped attempts.
+std::size_t computeCell(const Sweep& run, std::size_t worker,
+                        CellOutcome& out) {
+  const SweepOptions& options = run.options;
+  SweepTelemetry* tele = options.telemetry;
+  const std::string title = run.campaign.cellTitle(out.spec);
+  const bool armed =
+      options.softDeadlineSeconds > 0 || options.hardDeadlineSeconds > 0;
+  for (int attempt = 1;; ++attempt) {
+    const double tClaim = tele != nullptr ? tele->now() : 0;
+    if (tele != nullptr) tele->cellClaim(worker, title, out.spec.key);
+    const auto cellStart = Clock::now();
+    bool slow = false;
+    sim::Deadline deadline(
+        deadlineAt(cellStart, options.softDeadlineSeconds),
+        deadlineAt(cellStart, options.hardDeadlineSeconds), [&] {
+          slow = true;
+          if (tele != nullptr) {
+            tele->cellSlow(worker, title, out.spec.key,
+                           options.softDeadlineSeconds);
+          }
+        });
+    bool evaluated = false;
+    bool stuck = false;
+    std::string error;
+    try {
+      // One scope per attempt, stall included: `sweep.cell` counts the
+      // stopped attempts too.
+      IOP_PROFILE_SCOPE("sweep.cell");
+      // Test-only wall-clock stall, so tests and CI can kill a run
+      // mid-cell or push an attempt past its deadline: timing only, never
+      // results.  The second variable stalls the first attempt only.
+      const int stallMs =
+          envMillis("IOP_SWEEP_TEST_CELL_DELAY_MS") +
+          (attempt == 1 ? envMillis("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS") : 0);
+      if (stallMs > 0) deadline.sleepFor(std::chrono::milliseconds(stallMs));
+      out.result = evaluateCell(run.campaign, out.spec,
+                                armed ? &deadline : nullptr);
+      evaluated = true;
+    } catch (const sim::DeadlineExceeded&) {
+      stuck = true;
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    if (slow && tele != nullptr) tele->cellSlowResolved();
+
+    if (stuck) {
+      const bool retrying = attempt < 2;
+      writeStuckMarker(run, title, out.spec.key, attempt);
+      if (tele != nullptr) {
+        tele->cellStuck(worker, title, out.spec.key, attempt,
+                        options.hardDeadlineSeconds, retrying);
+      }
+      if (retrying) continue;
+      out.status = CellOutcome::Status::Failed;
+      out.error = "stuck: evaluation exceeded the hard deadline (" +
+                  std::to_string(options.hardDeadlineSeconds) +
+                  "s) on attempt " + std::to_string(attempt);
+      out.seconds = secondsSince(cellStart);
+      return attempt;
+    }
+    if (evaluated) {
+      try {
+        const double tEval = tele != nullptr ? tele->now() : 0;
+        run.store.saveCell(out.result);
+        if (options.writeCaptures) {
+          run.store.saveCapture(out.spec.key, makeCellCapture(out.result));
+        }
+        // Deposit into the shared pool as well; racing processes write
+        // identical bytes through unique temp names, so this is safe.
+        if (run.shared != nullptr) run.shared->saveCell(out.result);
+        out.status = CellOutcome::Status::Computed;
+        out.seconds = secondsSince(cellStart);
+        if (tele != nullptr) {
+          tele->cellCommit(worker, title, out.spec.key, tClaim, tEval,
+                           tele->now(), out.result.timeIo,
+                           out.result.iorRuns, out.spec.faulted());
+        }
+        return attempt - 1;
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    }
+    out.status = CellOutcome::Status::Failed;
+    out.error = error;
+    out.seconds = secondsSince(cellStart);
+    if (tele != nullptr) {
+      tele->cellFailed(worker, title, out.spec.key, tClaim, tele->now(),
+                       error);
+    }
+    return attempt - 1;
+  }
+}
+
+/// Execute stage: evaluate the owners on a fixed-size pool.  Workers share
+/// only the atomic cursor; each owns its cell's outcome slot exclusively.
+/// Returns how many owners were claimed — cancellation leaves the rest
+/// untouched.
+std::size_t execute(const Sweep& run, const std::vector<std::size_t>& owners) {
+  const SweepOptions& options = run.options;
+  SweepTelemetry* tele = options.telemetry;
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(options.jobs), owners.size());
+  if (tele != nullptr) {
+    tele->execStart(run.plan.size(), run.outcome.cacheHits,
+                    run.outcome.sharedHits, owners.size(), workers);
+  }
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::size_t> stuck{0};
+  std::mutex doneMutex;  // serializes options.onCellDone
   auto workerMain = [&](std::size_t worker) {
     if (tele != nullptr) tele->workerSpawn(worker);
     for (;;) {
       // Check between cells, never mid-cell: a cancelled run keeps every
       // result already committed and leaves no partial files behind.
-      if (cancelled()) {
+      if (cancelled(options)) {
         if (tele != nullptr) tele->shutdownNoticed();
         break;
       }
-      // Retries first: a cell another worker abandoned is older work
-      // than anything still behind the cursor.
-      std::size_t index = 0;
-      int attempt = 1;
-      bool claimed = false;
-      {
-        std::lock_guard<std::mutex> guard(retryMutex);
-        if (!retryQueue.empty()) {
-          index = retryQueue.front();
-          retryQueue.pop_front();
-          attempt = 2;
-          claimed = true;
-        }
-      }
-      if (!claimed &&
-          cursor.load(std::memory_order_relaxed) < pending.size()) {
-        const std::size_t slot = cursor.fetch_add(1);
-        if (slot < pending.size()) {
-          index = pending[slot];
-          claimed = true;
-        }
-      }
-      if (!claimed) {
-        // Drained — but a cell still in flight elsewhere may yet be
-        // abandoned into the retry queue, so only leave once nothing is
-        // in flight anywhere.
-        if (inFlight.load(std::memory_order_acquire) > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          continue;
-        }
-        break;
-      }
-      inFlight.fetch_add(1, std::memory_order_acq_rel);
-      CellOutcome& out = outcome.cells[index];
-      const double tClaim = tele != nullptr ? tele->now() : 0;
-      if (tele != nullptr) {
-        tele->cellClaim(worker, campaign.cellTitle(out.spec),
-                        out.spec.key);
-      }
-      if (testDelayMs > 0 && !watchdog) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(testDelayMs));
-      }
-      const auto cellStart = std::chrono::steady_clock::now();
-      bool abandoned = false;
-      bool evalOk = false;
-      CellResult evalResult;
-      std::string evalError;
-      if (!watchdog) {
-        try {
-          evalResult = evaluateCell(campaign, out.spec);
-          evalOk = true;
-        } catch (const std::exception& e) {
-          evalError = e.what();
-        }
-      } else {
-        // Supervised evaluation: the cell computes on a detached thread
-        // (a hung evaluation must never hang the pool) that reads only
-        // `supervised` plus its private spec copy and writes only into
-        // `task`.  The worker waits out the deadlines here.
-        auto task = std::make_shared<EvalTask>();
-        const int delayMs =
-            testDelayMs + (attempt == 1 ? testDelayOnceMs : 0);
-        std::thread([task, supervised, spec = out.spec, delayMs]() {
-          try {
-            if (delayMs > 0) {
-              std::this_thread::sleep_for(
-                  std::chrono::milliseconds(delayMs));
-            }
-            CellResult r = evaluateCell(*supervised, spec);
-            {
-              std::lock_guard<std::mutex> guard(task->mutex);
-              task->result = std::move(r);
-              task->done = true;
-            }
-            task->cv.notify_all();
-          } catch (const std::exception& e) {
-            {
-              std::lock_guard<std::mutex> guard(task->mutex);
-              task->error = e.what();
-              task->failed = true;
-              task->done = true;
-            }
-            task->cv.notify_all();
-          }
-        }).detach();
-
-        std::unique_lock<std::mutex> lock(task->mutex);
-        bool slow = false;
-        if (options.softDeadlineSeconds > 0) {
-          const bool doneSoft = task->cv.wait_for(
-              lock,
-              std::chrono::duration<double>(options.softDeadlineSeconds),
-              [&] { return task->done; });
-          if (!doneSoft) {
-            slow = true;
-            lock.unlock();
-            if (tele != nullptr) {
-              tele->cellSlow(worker, campaign.cellTitle(out.spec),
-                             out.spec.key, options.softDeadlineSeconds);
-            }
-            lock.lock();
-          }
-        }
-        bool finished;
-        if (options.hardDeadlineSeconds > 0) {
-          finished = task->cv.wait_until(
-              lock,
-              cellStart +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(
-                          options.hardDeadlineSeconds)),
-              [&] { return task->done; });
-        } else {
-          task->cv.wait(lock, [&] { return task->done; });
-          finished = true;
-        }
-        if (slow && tele != nullptr) tele->cellSlowResolved();
-        if (finished) {
-          evalOk = !task->failed;
-          if (evalOk) {
-            evalResult = std::move(task->result);
-          } else {
-            evalError = task->error;
-          }
-        } else {
-          abandoned = true;
-        }
-      }
-      if (abandoned) {
-        stuckCount.fetch_add(1, std::memory_order_relaxed);
-        const bool retrying = attempt < 2;
-        out.status = CellOutcome::Status::Failed;
-        out.error = "stuck: evaluation exceeded the hard deadline (" +
-                    std::to_string(options.hardDeadlineSeconds) +
-                    "s) on attempt " + std::to_string(attempt);
-        out.seconds = secondsSince(cellStart);
-        // Leave a marker so an operator (and iop-fsck) can tell the cell
-        // was abandoned, not merely slow.  Scratch durability: markers
-        // are advisory and must not perturb crash-point numbering.
-        try {
-          const std::filesystem::path marker =
-              store.root() / "quarantine" /
-              (out.spec.key + ".stuck." + std::to_string(attempt));
-          std::filesystem::create_directories(marker.parent_path());
-          util::vfs::replaceFile(
-              marker,
-              "stuck: " + campaign.cellTitle(out.spec) + " attempt " +
-                  std::to_string(attempt) + " exceeded hard deadline " +
-                  std::to_string(options.hardDeadlineSeconds) + "s\n",
-              util::vfs::Durability::Scratch);
-        } catch (const std::exception&) {
-          // Best-effort: a marker failure must not fail the run.
-        }
-        if (tele != nullptr) {
-          tele->cellStuck(worker, campaign.cellTitle(out.spec),
-                          out.spec.key, attempt,
-                          options.hardDeadlineSeconds, retrying);
-        }
-        if (retrying) {
-          // Queue before the in-flight decrement below, so idle workers
-          // never observe "nothing in flight, nothing queued" while the
-          // retry is in between.
-          std::lock_guard<std::mutex> guard(retryMutex);
-          retryQueue.push_back(index);
-        }
-      } else {
-        if (evalOk) {
-          try {
-            out.result = std::move(evalResult);
-            const double tEval = tele != nullptr ? tele->now() : 0;
-            store.saveCell(out.result);
-            if (options.writeCaptures) {
-              store.saveCapture(out.spec.key,
-                                makeCellCapture(out.result));
-            }
-            // Deposit into the shared pool as well; racing processes
-            // write identical bytes through unique temp names, so this
-            // is safe.
-            if (shared) shared->saveCell(out.result);
-            out.status = CellOutcome::Status::Computed;
-            out.seconds = secondsSince(cellStart);
-            if (tele != nullptr) {
-              tele->cellCommit(worker, campaign.cellTitle(out.spec),
-                               out.spec.key, tClaim, tEval, tele->now(),
-                               out.result.timeIo, out.result.iorRuns,
-                               out.spec.faulted());
-            }
-          } catch (const std::exception& e) {
-            evalOk = false;
-            evalError = e.what();
-          }
-        }
-        if (!evalOk) {
-          out.status = CellOutcome::Status::Failed;
-          out.error = evalError;
-          out.seconds = secondsSince(cellStart);
-          if (tele != nullptr) {
-            tele->cellFailed(worker, campaign.cellTitle(out.spec),
-                             out.spec.key, tClaim, tele->now(),
-                             evalError);
-          }
-        }
-      }
-      const bool terminal = !(abandoned && attempt < 2);
-      if (terminal && options.onCellDone) {
+      const std::size_t slot = cursor.fetch_add(1);
+      if (slot >= owners.size()) break;
+      CellOutcome& out = run.outcome.cells[owners[slot]];
+      stuck.fetch_add(computeCell(run, worker, out),
+                      std::memory_order_relaxed);
+      if (options.onCellDone) {
         std::lock_guard<std::mutex> guard(doneMutex);
         options.onCellDone(out);
       }
@@ -519,7 +393,6 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
       if (tele != nullptr) {
         tele->arenaTrimmed(worker, released, arena.stats().slabBytes);
       }
-      inFlight.fetch_sub(1, std::memory_order_acq_rel);
     }
     if (tele != nullptr) tele->workerIdle(worker);
   };
@@ -534,31 +407,35 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
     }
     for (auto& t : pool) t.join();
   }
+  run.outcome.stuck = stuck.load(std::memory_order_relaxed);
+  return std::min(cursor.load(std::memory_order_relaxed), owners.size());
+}
 
-  // Every fetched slot was carried to completion (the cancel check sits
-  // before the fetch), so after the join the untaken tail is exactly
-  // [cursor, end) — those cells were never started and stay resumable.
-  const std::size_t taken =
-      std::min(cursor.load(std::memory_order_relaxed), pending.size());
-  for (std::size_t slot = taken; slot < pending.size(); ++slot) {
-    CellOutcome& out = outcome.cells[pending[slot]];
+/// Commit stage, serial: mark the untaken owners skipped, hand each
+/// owner's verdict to its duplicates, tally the outcome, and rewrite the
+/// manifest in canonical order — the last step of a successful run.
+void commit(const Sweep& run, const Pending& pending, std::size_t taken) {
+  SweepOutcome& outcome = run.outcome;
+  SweepTelemetry* tele = run.options.telemetry;
+  // Every claimed owner was carried to completion (the cancel check sits
+  // before the claim), so the untaken tail was never started and stays
+  // resumable.
+  for (std::size_t slot = taken; slot < pending.owners.size(); ++slot) {
+    CellOutcome& out = outcome.cells[pending.owners[slot]];
     out.status = CellOutcome::Status::Skipped;
     out.error = "interrupted before evaluation; resume to compute";
   }
-  if (tele != nullptr && taken < pending.size()) {
-    tele->cellsSkipped(pending.size() - taken);
+  if (tele != nullptr && taken < pending.owners.size()) {
+    tele->cellsSkipped(pending.owners.size() - taken);
   }
-  if (cancelled()) outcome.interrupted = true;
-  outcome.stuck = stuckCount.load(std::memory_order_relaxed);
+  if (cancelled(run.options)) outcome.interrupted = true;
 
-  // Propagate deduped results to the duplicate cells.
-  for (const auto& [key, dupes] : followers) {
-    const CellOutcome& owner = outcome.cells[owners.at(key)];
-    for (std::size_t index : dupes) {
-      outcome.cells[index].status = owner.status;
-      outcome.cells[index].result = owner.result;
-      outcome.cells[index].error = owner.error;
-    }
+  for (const auto& [owner, duplicate] : pending.followers) {
+    const CellOutcome& from = outcome.cells[owner];
+    CellOutcome& to = outcome.cells[duplicate];
+    to.status = from.status;
+    to.result = from.result;
+    to.error = from.error;
   }
 
   for (const auto& cell : outcome.cells) {
@@ -578,18 +455,45 @@ SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
   }
   // IOR cost from owners only: a deduped follower shares its owner's
   // evaluation, so counting it again would overstate the run.
-  for (std::size_t index : pending) {
+  for (std::size_t index : pending.owners) {
     if (outcome.cells[index].status == CellOutcome::Status::Computed) {
       outcome.iorRuns += outcome.cells[index].result.iorRuns;
     }
   }
+  run.store.writeManifest(run.campaign, run.plan);
+}
 
-  // The manifest is rewritten serially, in canonical order, after the
-  // pool joins — the last step of a successful run.
-  store.writeManifest(campaign, plan);
+}  // namespace
+
+SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
+                      const SweepOptions& options) {
+  IOP_PROFILE_SCOPE("sweep.run");
+  if (options.jobs < 1) {
+    throw std::invalid_argument("sweep: jobs must be >= 1");
+  }
+  const auto startedAt = Clock::now();
+  store.initialize(campaign.spec.canonicalText(), options.force);
+  store.setTelemetry(options.telemetry);
+  std::optional<SharedStore> shared;
+  if (!options.sharedStore.empty()) {
+    shared.emplace(std::filesystem::path(options.sharedStore));
+    shared->setTelemetry(options.telemetry);
+  }
+
+  const std::vector<CellSpec> plan = campaign.planCells();
+  SweepOutcome outcome;
+  outcome.cells.resize(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    outcome.cells[i].spec = plan[i];
+  }
+  const Sweep run{campaign, store, shared ? &*shared : nullptr,
+                  options, plan, outcome};
+  const Pending pending = probe(run);
+  const std::size_t taken = execute(run, pending.owners);
+  commit(run, pending, taken);
+
   outcome.wallSeconds = secondsSince(startedAt);
-
-  if (tele != nullptr) tele->runComplete(outcome);
+  if (options.telemetry != nullptr) options.telemetry->runComplete(outcome);
   return outcome;
 }
 

@@ -1,14 +1,15 @@
 // The campaign executor: a fixed-size worker pool evaluating grid cells.
 //
-// Threading model: each worker evaluates one cell at a time with a
-// completely private stack — a fresh ClusterConfig (own sim::Engine, own
+// Threading model: each worker evaluates one cell at a time, inline, with
+// a completely private stack — a fresh ClusterConfig (own sim::Engine, own
 // topology) built from captured text, a private Replayer, a private
 // Estimate.  Workers share only the atomic work cursor, the result slots
 // (disjoint per cell), and the store directory (disjoint files, atomic
 // renames).  The simulations themselves stay single-threaded and
 // deterministic, so a cell's bytes are a pure function of its cache key —
 // which is what makes the store byte-identical for any -j and lets a
-// second run be 100% cache hits.
+// second run be 100% cache hits.  No thread outlives runSweep: the
+// watchdog stops a stuck cell on its own worker (SweepOptions).
 //
 // Observation: the executor reports every lifecycle event (cache hits,
 // quarantines, claims, commits, failures, watchdog verdicts, the run's
@@ -53,20 +54,16 @@ struct SweepOptions {
   /// trace and progress (telemetry.hpp).  Observation-only: the store
   /// bytes are identical with and without it.
   SweepTelemetry* telemetry = nullptr;
-  /// Hung-worker watchdog (0 = off, the default).  With a soft deadline,
-  /// a cell still evaluating after that many wall seconds is journaled as
-  /// `cell_slow` (and counts on the `sweep.slow_cells` gauge) but keeps
-  /// running.  With a hard deadline, a cell that exceeds it is abandoned:
-  /// the evaluation thread is left to finish (or hang) in the background
-  /// — it only ever computes, it never touches the store — a
+  /// Hung-worker watchdog (0 = off, the default): wall seconds per
+  /// attempt, polled by every engine of the cell (sim::Deadline).  Past
+  /// the soft deadline a cell is journaled as `cell_slow` (and counts on
+  /// the `sweep.slow_cells` gauge) but keeps running.  Past the hard
+  /// deadline the attempt stops between two engine dispatches, a
   /// `quarantine/<key>.stuck.<attempt>` marker is written, and the cell
-  /// is retried once on whichever worker is free next.  A second timeout
+  /// is retried once, at once, on the same worker.  A second timeout
   /// fails the cell with a "stuck" error.  Deadlines don't perturb
   /// results: a store written with the watchdog on is byte-identical to
-  /// one written with it off (abandoned attempts commit nothing).
-  /// An abandoned evaluation may still be running when runSweep returns;
-  /// it shares ownership of a copy of the campaign, so the caller's
-  /// campaign may go away at any time.
+  /// one written with it off (stopped attempts commit nothing).
   double softDeadlineSeconds = 0;
   double hardDeadlineSeconds = 0;
 };
@@ -102,16 +99,18 @@ struct SweepOutcome {
   }
 };
 
-/// Evaluate one cell synchronously (no store involved).  The building
-/// block workers run; exposed for tests and the micro-benchmark.
+/// Evaluate one cell synchronously (no store involved), with every engine
+/// polling `deadline` if given.  The building block workers run; exposed
+/// for tests and the micro-benchmark.
 CellResult evaluateCell(const ResolvedCampaign& campaign,
-                        const CellSpec& cell);
+                        const CellSpec& cell,
+                        sim::Deadline* deadline = nullptr);
 
-/// Run (or resume) a campaign against a store: probe the cache serially,
-/// evaluate the misses on `options.jobs` workers, commit results
-/// atomically, and rewrite the manifest in canonical order.  Every event
-/// goes to `options.telemetry` (if any); `store` and the shared store
-/// count their operations through it too.
+/// Run (or resume) a campaign against a store: probe the caches serially,
+/// execute the misses on `options.jobs` workers, each committing its cells
+/// atomically, then commit the run: tallies and the manifest, rewritten
+/// in canonical order.  Every event goes to `options.telemetry` (if any);
+/// `store` and the shared store count their operations through it too.
 SweepOutcome runSweep(const ResolvedCampaign& campaign, CampaignStore& store,
                       const SweepOptions& options);
 

@@ -168,6 +168,7 @@ CellResult CellResult::parse(const std::string& text) {
   }
   CellResult cell;
   bool sawEnd = false;
+  bool sealed = false;  // past the checksum: only `end` may follow
   std::size_t expectedPhases = 0;
   std::size_t expectedTenantJobs = 0;
   // Byte offset of the current line within `text`, maintained manually:
@@ -177,9 +178,11 @@ CellResult CellResult::parse(const std::string& text) {
     const std::size_t thisLineStart = lineStart;
     lineStart += line.size() + 1;
     if (line == "end") {
+      if (lineStart < text.size()) badCell("bytes after 'end'");
       sawEnd = true;
       break;
     }
+    if (sealed) badCell("unsealed line '" + line + "' after the checksum");
     auto tokens = util::splitWhitespace(line);
     if (tokens.empty()) continue;
     const std::string& directive = tokens[0];
@@ -196,6 +199,7 @@ CellResult CellResult::parse(const std::string& text) {
         badCell("checksum mismatch (stored " + tokens[1] + ", computed " +
                 actual + "): file is torn or corrupt");
       }
+      sealed = true;
     } else if (directive == "fault") {
       cell.faultLabel = restOfLine(line);
     } else if (directive == "fault-seed" && tokens.size() == 2) {

@@ -87,8 +87,9 @@ struct CellResult {
   /// "checksum <16hex>" line (FNV over everything before it) so torn or
   /// bit-flipped store files are detected on load.
   std::string render() const;
-  /// Throws on malformed text; files without a checksum line (written
-  /// before checksums existed) are accepted unverified.
+  /// Throws on malformed text, and on anything but a final `end` line
+  /// after the checksum; files without a checksum line (written before
+  /// checksums existed) are accepted unverified.
   static CellResult parse(const std::string& text);
 
   /// Weight-normalized bandwidth of the whole run: weight / Time_io.

@@ -148,15 +148,15 @@ class SweepTelemetry {
                   const std::string& key, double claimSec, double failSec,
                   const std::string& error);
   /// Watchdog: a cell crossed its soft deadline (still running).  The
-  /// `sweep.slow_cells` gauge goes +1 here and -1 when the cell resolves
-  /// (commit, failure or hard-deadline abandonment).
+  /// `sweep.slow_cells` gauge goes +1 here and -1 when the attempt ends
+  /// (commit, failure or hard-deadline stop).
   void cellSlow(std::size_t worker, const std::string& cell,
                 const std::string& key, double deadlineSec);
   void cellSlowResolved();
-  /// Watchdog: a cell crossed its hard deadline and was abandoned.
-  /// `retrying` is true when attempt 1 was quarantined and the cell was
-  /// queued for one retry on another worker; false means the retry also
-  /// stuck and the cell is terminally failed.
+  /// Watchdog: a cell crossed its hard deadline and was stopped.
+  /// `retrying` is true when attempt 1 was quarantined and the same
+  /// worker retries the cell at once; false means the retry also stuck
+  /// and the cell is terminally failed.
   void cellStuck(std::size_t worker, const std::string& cell,
                  const std::string& key, int attempt, double deadlineSec,
                  bool retrying);

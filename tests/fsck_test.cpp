@@ -145,6 +145,32 @@ TEST(Fsck, ClassifiesChecksumMismatchSeparatelyFromTorn) {
   EXPECT_FALSE(std::filesystem::exists(cellPath));
 }
 
+TEST(Fsck, QuarantinesLinesPastTheChecksumAsTorn) {
+  // The seal covers everything before the checksum line; a line slipped
+  // in before `end`, or appended after it, is damage like any other.
+  TempDir dir("past_seal");
+  const auto campaign = populateStore(dir.path());
+  const auto plan = campaign.planCells();
+  const auto inserted = dir.path() / "cells" / (plan[0].key + ".cell");
+  const auto appended = dir.path() / "cells" / (plan[1].key + ".cell");
+  std::string text = readText(inserted);
+  text.insert(text.rfind("end\n"), "config Z-forged\n");
+  writeText(inserted, text);
+  writeText(appended, readText(appended) + "time-io 0.001\n");
+
+  sweep::FsckOptions options;
+  options.deep = true;
+  const auto report = sweep::fsckCampaignStore(dir.path(), options);
+  EXPECT_EQ(report.exitCode(), 1);
+  ASSERT_EQ(report.findings.size(), 2u);
+  for (const auto& finding : report.findings) {
+    EXPECT_EQ(finding.damage, sweep::FsckDamage::TornCell);
+  }
+  EXPECT_FALSE(std::filesystem::exists(inserted));
+  EXPECT_FALSE(std::filesystem::exists(appended));
+  EXPECT_TRUE(sweep::fsckCampaignStore(dir.path(), options).clean());
+}
+
 TEST(Fsck, DetectsCellUnderWrongKey) {
   TempDir dir("wrong_key");
   const auto campaign = populateStore(dir.path());

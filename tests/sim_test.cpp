@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -400,8 +401,10 @@ Task<void> digestWorker(Engine& eng, Resource& res, std::vector<Step>& log,
   log.push_back({id, eng.now()});
 }
 
-std::uint64_t runDigestWorkload(std::uint64_t* orderDigest = nullptr) {
+std::uint64_t runDigestWorkload(std::uint64_t* orderDigest = nullptr,
+                                Deadline* deadline = nullptr) {
   Engine eng(42);
+  eng.setDeadline(deadline);
   Resource res(eng, 2);
   std::vector<Step> log;
   for (int id = 0; id < 64; ++id) {
@@ -440,6 +443,55 @@ TEST(EngineDigest, OrderDigestIdenticalAcrossRuns) {
   EXPECT_EQ(stepsA, stepsB);
   EXPECT_EQ(first, second);
   EXPECT_NE(first, kFnvOffset);  // the digest actually accumulated
+}
+
+TEST(Engine, FarDeadlineLeavesOrderDigestUnchanged) {
+  // One deadline across the runs: its dispatch count carries over, so its
+  // polls land inside runs.  The soft point has already passed, so the
+  // first poll runs the callback; the far hard point never throws.
+  std::uint64_t plainOrder = 0;
+  const std::uint64_t plainSteps = runDigestWorkload(&plainOrder);
+  int softCalls = 0;
+  const auto now = Deadline::Clock::now();
+  Deadline deadline(now, now + std::chrono::hours(1), [&] { ++softCalls; });
+  for (int run = 0; run < 16; ++run) {
+    std::uint64_t order = 0;
+    EXPECT_EQ(runDigestWorkload(&order, &deadline), plainSteps);
+    EXPECT_EQ(order, plainOrder);
+  }
+  EXPECT_EQ(softCalls, 1);
+}
+
+TEST(Engine, DeadlineStopsAnEndlessRun) {
+  // An expired hard deadline stops every way of running the engine at the
+  // first poll; releasing the process afterwards lets it finish cleanly.
+  // (It also gives up by itself after ten polls' worth of dispatches, so
+  // an engine that never polls fails this test instead of hanging it.)
+  const auto past = Deadline::Clock::now() - std::chrono::seconds(1);
+  for (int mode = 0; mode < 3; ++mode) {
+    Engine eng;
+    Deadline deadline(Deadline::Clock::time_point::max(), past, {});
+    eng.setDeadline(&deadline);
+    bool stop = false;
+    eng.spawn([](Engine& e, const bool& stop) -> Task<void> {
+      for (std::uint32_t i = 0; i < 10 * Deadline::kPollInterval && !stop;
+           ++i) {
+        co_await e.delay(1.0);
+      }
+    }(eng, stop));
+    try {
+      if (mode == 0) eng.run();
+      if (mode == 1) eng.runUntil(1e300);
+      if (mode == 2) eng.drain();
+      ADD_FAILURE() << "mode " << mode << " ran past its deadline";
+    } catch (const DeadlineExceeded&) {
+    }
+    EXPECT_LE(eng.eventsDispatched(), Deadline::kPollInterval);
+    stop = true;
+    eng.setDeadline(nullptr);
+    eng.run();
+    EXPECT_EQ(eng.liveProcesses(), 0);
+  }
 }
 
 TEST(ReadyQueue, CalendarMatchesHeapOnRandomWorkloads) {

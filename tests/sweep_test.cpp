@@ -1,7 +1,6 @@
 // iop::sweep — campaign parsing, content-addressed caching, executor
 // determinism (-j1 == -jN byte-identical stores), resume and gc.
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -57,6 +56,18 @@ std::map<std::string, std::string> snapshotTree(
     buffer << in.rdbuf();
     tree[entry.path().lexically_relative(root).string()] = buffer.str();
   }
+  return tree;
+}
+
+/// `snapshotTree` of a store without its journal and quarantine: what
+/// must match byte for byte whatever the watchdog or a repair did.
+std::map<std::string, std::string> snapshotResults(
+    const std::filesystem::path& root) {
+  auto tree = snapshotTree(root);
+  std::erase_if(tree, [](const auto& entry) {
+    return entry.first.rfind("journal", 0) == 0 ||
+           entry.first.rfind("quarantine", 0) == 0;
+  });
   return tree;
 }
 
@@ -748,6 +759,36 @@ TEST(SweepStore, CorruptCellsAreQuarantinedAndRecomputed) {
   EXPECT_EQ(after, expected);
 }
 
+TEST(SweepStore, ForgedLinesPastTheChecksumAreQuarantinedAndRecomputed) {
+  // The checksum seals everything before it; a line slipped in between it
+  // and `end`, or appended after `end`, must not be served as a hit.
+  const auto campaign = resolveTestCampaign(
+      "name forged\napp example\nconfig A\nconfig B\n");
+  TempDir dir("forged");
+  sweep::CampaignStore store(dir.path());
+  sweep::runSweep(campaign, store, {});
+  const auto expected = snapshotTree(dir.path());
+
+  const auto plan = campaign.planCells();
+  const auto renamed = store.cellPath(plan[0].key);
+  std::string bytes = readFileText(renamed);
+  ASSERT_EQ(bytes.substr(bytes.size() - 4), "end\n");
+  bytes.insert(bytes.size() - 4, "config Z-forged\n");
+  std::ofstream(renamed, std::ios::binary) << bytes;
+  std::ofstream(store.cellPath(plan[1].key),
+                std::ios::binary | std::ios::app)
+      << "time-io 0.001\n";
+
+  const auto outcome = sweep::runSweep(campaign, store, {});
+  EXPECT_EQ(outcome.quarantined, 2u);
+  EXPECT_EQ(outcome.computed, 2u);
+  EXPECT_EQ(outcome.cacheHits, 0u);
+  for (const auto& cell : outcome.cells) {
+    EXPECT_NE(cell.result.configLabel, "Z-forged");
+  }
+  EXPECT_EQ(snapshotResults(dir.path()), expected);
+}
+
 // ------------------------------------------------- graceful shutdown
 
 TEST(SweepExecutor, CancelSkipsUntakenCellsAndResumeConverges) {
@@ -1390,6 +1431,15 @@ class ScopedEnv {
   const char* name_;
 };
 
+/// Journal events named `name`.
+std::size_t journalEvents(const std::string& path, const std::string& name) {
+  std::size_t count = 0;
+  for (const auto& event : obs::loadJournal(path).events) {
+    count += event.name == name ? 1 : 0;
+  }
+  return count;
+}
+
 TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   // One cell, delayed 300ms past a 50ms soft deadline: the run journals
   // cell_slow (and bumps the slow-cell instruments) but the cell still
@@ -1399,6 +1449,8 @@ TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   ASSERT_EQ(campaign.planCells().size(), 1u);
   TempDir dir("watchdog_soft");
   ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS", "300");
+  auto& profiler = obs::Profiler::global();
+  const std::uint64_t attemptsBefore = profiler.stats()["sweep.cell"].calls;
 
   sweep::TelemetryConfig config;
   config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
@@ -1408,6 +1460,8 @@ TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   options.softDeadlineSeconds = 0.05;
   options.telemetry = &telemetry;
   const auto outcome = sweep::runSweep(campaign, store, options);
+  // Every attempt has ended by the time runSweep returns.
+  EXPECT_EQ(profiler.stats()["sweep.cell"].calls, attemptsBefore + 1);
   telemetry.finish();
 
   EXPECT_EQ(outcome.computed, 1u);
@@ -1421,51 +1475,64 @@ TEST(SweepWatchdog, SoftDeadlineJournalsSlowCellsWithoutFailingThem) {
   EXPECT_EQ(slow->value(), 1u);
 }
 
-/// Finished cell evaluations in this process, abandoned watchdog attempts
-/// included (each closes a "sweep.cell" profiler scope).
-std::uint64_t cellEvaluations() {
-  return obs::Profiler::global().stats()["sweep.cell"].calls;
-}
-
-/// Wait until `count` cell evaluations have finished.  An abandoned
-/// attempt keeps computing on its detached thread after runSweep returns;
-/// reading the count under the profiler's lock orders everything that
-/// thread did before this test goes on (or the process exits).
-void awaitCellEvaluations(std::uint64_t count) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  while (cellEvaluations() < count &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GE(cellEvaluations(), count) << "abandoned evaluation never ended";
-}
-
-TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
-  // Attempt 1 sleeps 1.5s against a 0.75s hard deadline and is
-  // abandoned; the retry (no delay; the deadline leaves room for a
-  // sanitizer build's slower evaluation) succeeds, so the run completes
-  // with stuck=1, no failures, a quarantine marker, and — the core
-  // invariant — a store byte-identical to one written with the watchdog
-  // off.
+TEST(SweepWatchdog, SoftDeadlineFiresInsideTheSimulation) {
+  // No stall: only the engines' dispatch-loop polls can notice the soft
+  // deadline.  The callback fires once, from inside the evaluation, and
+  // neither it nor the armed, never-reached hard deadline changes a byte.
   const auto campaign =
       resolveTestCampaign("name tiny\napp example\nconfig A\n");
-  TempDir plain("watchdog_off");
+  TempDir plain("watchdog_soft_off");
   sweep::CampaignStore plainStore(plain.path());
   sweep::runSweep(campaign, plainStore, {});
-  const auto expected = snapshotTree(plain.path());
 
-  TempDir dir("watchdog_hard");
-  ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS", "1500");
-  const std::uint64_t evaluations = cellEvaluations() + 2;  // both attempts
+  TempDir dir("watchdog_soft_sim");
   sweep::TelemetryConfig config;
   config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
   sweep::SweepTelemetry telemetry(config);
   sweep::CampaignStore store(dir.path());
   sweep::SweepOptions options;
-  options.hardDeadlineSeconds = 0.75;
+  options.softDeadlineSeconds = 1e-9;
+  options.hardDeadlineSeconds = 3600;
   options.telemetry = &telemetry;
   const auto outcome = sweep::runSweep(campaign, store, options);
+  telemetry.finish();
+
+  EXPECT_EQ(outcome.computed, 1u);
+  EXPECT_EQ(outcome.failures, 0u);
+  EXPECT_EQ(journalEvents(config.journalPath, "cell_slow"), 1u);
+  const auto* slowNow = telemetry.runtime().findGauge("sweep.slow_cells");
+  ASSERT_NE(slowNow, nullptr);
+  EXPECT_EQ(slowNow->value(), 0.0);
+  EXPECT_EQ(snapshotResults(dir.path()), snapshotTree(plain.path()));
+}
+
+TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
+  // Attempt 1 sleeps 2s against a 1.5s hard deadline and is stopped
+  // there; the retry (no delay; the deadline leaves room for the TSan
+  // build's ~0.7s evaluation) succeeds, so the run completes with
+  // stuck=1, no failures, a quarantine marker, and — the core invariant —
+  // a store byte-identical to one written with the watchdog off.
+  const auto campaign =
+      resolveTestCampaign("name tiny\napp example\nconfig A\n");
+  TempDir plain("watchdog_off");
+  sweep::CampaignStore plainStore(plain.path());
+  sweep::runSweep(campaign, plainStore, {});
+
+  TempDir dir("watchdog_hard");
+  ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_ONCE_MS", "2000");
+  auto& profiler = obs::Profiler::global();
+  const std::uint64_t attemptsBefore = profiler.stats()["sweep.cell"].calls;
+  sweep::TelemetryConfig config;
+  config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+  sweep::SweepTelemetry telemetry(config);
+  sweep::CampaignStore store(dir.path());
+  sweep::SweepOptions options;
+  options.hardDeadlineSeconds = 1.5;
+  options.telemetry = &telemetry;
+  const auto outcome = sweep::runSweep(campaign, store, options);
+  // Both attempts have ended by the time runSweep returns: nothing of the
+  // stopped one is left running.
+  EXPECT_EQ(profiler.stats()["sweep.cell"].calls, attemptsBefore + 2);
   telemetry.finish();
 
   EXPECT_EQ(outcome.stuck, 1u);
@@ -1478,16 +1545,7 @@ TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
                                       (key + ".stuck.1")));
 
   // Byte-identical store, the stuck marker and journal aside.
-  auto observed = snapshotTree(dir.path());
-  for (auto it = observed.begin(); it != observed.end();) {
-    if (it->first.rfind("journal", 0) == 0 ||
-        it->first.rfind("quarantine", 0) == 0) {
-      it = observed.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  EXPECT_EQ(observed, expected);
+  EXPECT_EQ(snapshotResults(dir.path()), snapshotTree(plain.path()));
 
   // The journal records the abandonment and the postmortem counts it
   // without leaving the claim open.
@@ -1500,8 +1558,6 @@ TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {
   const auto* stuck = telemetry.runtime().findCounter("sweep.cells_stuck");
   ASSERT_NE(stuck, nullptr);
   EXPECT_EQ(stuck->value(), 1u);
-
-  awaitCellEvaluations(evaluations);
 }
 
 TEST(SweepWatchdog, SecondTimeoutFailsTheCellTerminally) {
@@ -1512,13 +1568,15 @@ TEST(SweepWatchdog, SecondTimeoutFailsTheCellTerminally) {
       resolveTestCampaign("name tiny\napp example\nconfig A\n");
   TempDir dir("watchdog_terminal");
   ScopedEnv delay("IOP_SWEEP_TEST_CELL_DELAY_MS", "500");
-  const std::uint64_t evaluations = cellEvaluations() + 2;  // both attempts
+  auto& profiler = obs::Profiler::global();
+  const std::uint64_t attemptsBefore = profiler.stats()["sweep.cell"].calls;
   sweep::SweepTelemetry telemetry(sweep::TelemetryConfig{});
   sweep::CampaignStore store(dir.path());
   sweep::SweepOptions options;
   options.hardDeadlineSeconds = 0.1;
   options.telemetry = &telemetry;
   const auto outcome = sweep::runSweep(campaign, store, options);
+  EXPECT_EQ(profiler.stats()["sweep.cell"].calls, attemptsBefore + 2);
   telemetry.finish();
   expectRegistryMatchesOutcome(telemetry.runtime(), outcome);
   EXPECT_NE(telemetry.runtime().renderProm().find(
@@ -1532,7 +1590,36 @@ TEST(SweepWatchdog, SecondTimeoutFailsTheCellTerminally) {
   const std::string key = campaign.planCells()[0].key;
   EXPECT_TRUE(std::filesystem::exists(dir.path() / "quarantine" /
                                       (key + ".stuck.2")));
-  awaitCellEvaluations(evaluations);
+}
+
+TEST(SweepWatchdog, HardDeadlineStopsASimulatingFaultedCell) {
+  // No stall: the engine's dispatch-loop poll stops the simulation, and
+  // the degraded estimator lets the deadline through instead of
+  // committing it as a failed fault replica.
+  TempDir dir("watchdog_faulted");
+  writeFile(dir.path(), "flaky.fault", kFlakyPlanText);
+  const auto campaign = sweep::resolveCampaign(sweep::parseCampaign(
+      "name stuck-fault\napp example\nconfig A\n"
+      "faultplan file=flaky.fault\n",
+      dir.path()));
+  ASSERT_EQ(campaign.planCells().size(), 1u);
+  ASSERT_TRUE(campaign.planCells()[0].faulted());
+  const std::string key = campaign.planCells()[0].key;
+
+  sweep::CampaignStore store(dir.path() / "store");
+  sweep::SweepOptions options;
+  options.hardDeadlineSeconds = 1e-6;
+  const auto outcome = sweep::runSweep(campaign, store, options);
+
+  EXPECT_EQ(outcome.stuck, 2u);
+  EXPECT_EQ(outcome.failures, 1u);
+  EXPECT_EQ(outcome.cells[0].status, sweep::CellOutcome::Status::Failed);
+  EXPECT_NE(outcome.cells[0].error.find("stuck"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(store.cellPath(key)));
+  EXPECT_TRUE(std::filesystem::exists(dir.path() / "store" / "quarantine" /
+                                      (key + ".stuck.1")));
+  EXPECT_TRUE(std::filesystem::exists(dir.path() / "store" / "quarantine" /
+                                      (key + ".stuck.2")));
 }
 
 #ifdef __linux__

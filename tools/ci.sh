@@ -50,7 +50,8 @@ unset UBSAN_OPTIONS
 # the run's telemetry, whose one lock serialises every sink: every hook
 # called from 8 threads at once with the journal, exec trace, snapshot
 # thread and logger on (RuntimeTelemetry.ConcurrentHooksKeepExactTotals),
-# plus the journal/snapshotter threads of the byte-identity test.
+# plus the journal/snapshotter threads of the byte-identity test, and the
+# watchdog (SweepWatchdog.*), whose stuck attempts stop on their worker.
 # Building only its test keeps the flavor cheap; everything else in the
 # tree is single-threaded by design.  The ASan/UBSan flavors above run the
 # full suite, so the hostile-input trace corpus (TraceFileHostile.*) and

@@ -413,7 +413,7 @@ int main(int argc, char** argv) {
                  "longer than this many wall seconds (0 = off)",
                  "0");
   args.addOption("hard-deadline-s",
-                 "watchdog: abandon a cell stuck past this many wall "
+                 "watchdog: stop a cell stuck past this many wall "
                  "seconds, quarantine a .stuck marker, retry it once "
                  "(0 = off)",
                  "0");
