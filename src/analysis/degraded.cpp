@@ -6,17 +6,10 @@
 #include "fault/injector.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trend.hpp"
 #include "sim/engine.hpp"
 
 namespace iop::analysis {
-
-double medianOf(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  if (n % 2 == 1) return values[n / 2];
-  return 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
 
 namespace {
 
@@ -87,7 +80,7 @@ DegradedEstimate estimateDegraded(const core::IOModel& model,
   if (!times.empty()) {
     out.minTimeIo = *std::min_element(times.begin(), times.end());
     out.maxTimeIo = *std::max_element(times.begin(), times.end());
-    out.medianTimeIo = medianOf(times);
+    out.medianTimeIo = obs::medianOf(times);
   }
 
   const auto& phases = model.phases();
@@ -104,8 +97,8 @@ DegradedEstimate estimateDegraded(const core::IOModel& model,
       phaseStalls.push_back(replica.phaseStallSec[i]);
       row.maxStallSec = std::max(row.maxStallSec, replica.phaseStallSec[i]);
     }
-    row.medianTimeSec = medianOf(std::move(phaseTimes));
-    row.medianStallSec = medianOf(std::move(phaseStalls));
+    row.medianTimeSec = obs::medianOf(std::move(phaseTimes));
+    row.medianStallSec = obs::medianOf(std::move(phaseStalls));
     out.phases.push_back(row);
   }
   return out;

@@ -58,9 +58,6 @@ struct DegradedEstimate {
   bool allFailed() const noexcept { return okReplicas == 0; }
 };
 
-/// Median of `values` (empty -> 0; even count -> mean of the middle two).
-double medianOf(std::vector<double> values);
-
 /// Replay `model` on fresh instances of the builder's configuration under
 /// `plan`, once per seed.  A replica whose run throws (retries exhausted,
 /// no failover possible) is recorded as failed rather than aborting the

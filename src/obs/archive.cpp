@@ -12,7 +12,6 @@
 
 #include "obs/codec.hpp"
 #include "obs/recorder.hpp"
-#include "util/fsatomic.hpp"
 #include "util/vfs.hpp"
 
 namespace iop::obs {
@@ -273,7 +272,7 @@ ArchiveEntry Archive::append(std::string kind, std::string app,
   // Content-addressed: identical payloads dedup; racing writers of the
   // same bytes rename identical files into place.
   if (!std::filesystem::exists(object)) {
-    util::writeFileAtomically(object, payload);
+    util::vfs::replaceFile(object, payload);
   }
 
   // A writer that died mid-line left the manifest without a trailing
@@ -360,7 +359,7 @@ Archive::GcResult Archive::gc(std::size_t keepLastPerSeries) {
     result.prunedEntries = entries.size() - kept.size();
     std::string manifest;
     for (const auto& e : kept) manifest += renderArchiveManifestLine(e);
-    util::writeFileAtomically(manifestPath(), manifest);
+    util::vfs::replaceFile(manifestPath(), manifest);
   }
   std::set<std::string> live;
   for (const auto& e : kept) live.insert(e.objectName());

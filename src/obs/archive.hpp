@@ -12,7 +12,7 @@
 //   objects/<hash>.bench.json   iop-bench/1 snapshots, verbatim
 //
 // Object files are content-addressed by FNV-1a64 of their bytes and
-// written atomically (util::writeFileAtomically), so concurrent writers
+// written atomically (util::vfs::replaceFile), so concurrent writers
 // — several CI jobs archiving into one cached directory — never tear an
 // object and identical payloads dedup into one file.  The manifest is
 // append-only (one short line per entry, O_APPEND semantics); list()

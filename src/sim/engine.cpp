@@ -78,13 +78,13 @@ void Engine::spawnAt(Time when, Task<void> task) {
 
 void Engine::dispatchUntil(Time limit, bool bounded) {
   for (;;) {
-    const detail::QueuedEvent* top = queue_.peek(now_);
+    const detail::QueuedEvent* top = queue_.peek();
     if (top == nullptr) return;
     if (bounded && top->when > limit) {
       now_ = limit;
       return;
     }
-    const detail::QueuedEvent ev = queue_.pop(now_);
+    const detail::QueuedEvent ev = queue_.pop();
     now_ = ev.when;
     ++dispatched_;
     orderDigest_ = detail::foldWord(

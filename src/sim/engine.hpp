@@ -1,13 +1,13 @@
 // Deterministic discrete-event simulation engine.
 //
-// The engine owns the simulated clock and a calendar queue of ready
-// coroutines (see readyqueue.hpp).  Events with equal timestamps run in
-// scheduling order (monotonic sequence numbers), so a run is a pure
-// function of its inputs and the RNG seed — a property the whole
-// repository relies on for reproducing the paper's tables.  The engine
-// folds every dispatched (when, seq) pair into a running FNV-1a digest;
-// tests compare digests across runs and schedulers to prove the order
-// never drifts.
+// The engine owns the simulated clock and a queue of ready coroutines: a
+// same-time FIFO lane over a binary heap (see readyqueue.hpp).  Events
+// with equal timestamps run in scheduling order (monotonic sequence
+// numbers), so a run is a pure function of its inputs and the RNG seed — a
+// property the whole repository relies on for reproducing the paper's
+// tables.  The engine folds every dispatched (when, seq) pair into a
+// running FNV-1a digest; tests compare digests across runs and schedulers
+// to prove the order never drifts.
 #pragma once
 
 #include <chrono>
@@ -208,7 +208,7 @@ class Engine {
   std::uint64_t dispatched_ = 0;
   std::uint64_t orderDigest_ = 1469598103934665603ULL;  // FNV-1a offset
   int liveDetached_ = 0;
-  detail::CalendarQueue queue_;
+  detail::ReadyQueue queue_;
   std::exception_ptr firstException_{};
   util::Rng rng_;
   Deadline* deadline_ = nullptr;

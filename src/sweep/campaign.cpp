@@ -17,6 +17,7 @@
 #include "sweep/store.hpp"
 #include "sweep/telemetry.hpp"
 #include "util/text.hpp"
+#include "util/vfs.hpp"
 
 namespace iop::sweep {
 
@@ -461,7 +462,7 @@ ResolvedCampaign resolveCampaign(const CampaignSpec& spec,
         // as this characterization.
         for (const auto& dir : options.modelCacheDirs) {
           std::filesystem::create_directories(dir);
-          writeFileAtomically(dir / (key + ".model"), m.contentText);
+          util::vfs::replaceFile(dir / (key + ".model"), m.contentText);
         }
       }
       outcomes[i].characterized = !hit;

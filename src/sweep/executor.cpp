@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -226,11 +227,21 @@ int envMillis(const char* name) {
   return env != nullptr ? std::atoi(env) : 0;
 }
 
-/// `start` plus `seconds`, or never for a deadline that is off (0).
+/// `start` plus `seconds`, or never for a deadline that is off: 0, or a
+/// point past the end of the clock's range (+inf included).
 Clock::time_point deadlineAt(Clock::time_point start, double seconds) {
-  if (seconds <= 0) return Clock::time_point::max();
-  return start + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(seconds));
+  constexpr Clock::time_point never = Clock::time_point::max();
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double>(seconds))
+                           .count();
+  // Range-check in double: converting a double the rep cannot hold to it
+  // is undefined.
+  if (!(ticks > 0) ||
+      !(ticks < static_cast<double>(std::numeric_limits<Clock::rep>::max()))) {
+    return never;
+  }
+  const Clock::duration budget(static_cast<Clock::rep>(ticks));
+  return budget < never - start ? start + budget : never;
 }
 
 /// Leave a marker so an operator (and iop-fsck) can tell the attempt was

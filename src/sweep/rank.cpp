@@ -6,8 +6,8 @@
 #include <map>
 #include <tuple>
 
-#include "analysis/degraded.hpp"
 #include "analysis/evaluate.hpp"
+#include "obs/trend.hpp"
 #include "storage/disk.hpp"
 #include "storage/filesystem.hpp"
 #include "storage/topology.hpp"
@@ -77,7 +77,7 @@ RankedCell aggregateSeeds(const std::vector<const CellOutcome*>& cells) {
     ++entry.okSeeds;
     times.push_back(cell->result.timeIo);
   }
-  entry.timeIo = analysis::medianOf(times);
+  entry.timeIo = obs::medianOf(times);
   entry.cell = cells.front();
   if (entry.okSeeds > 0) {
     double bestDelta = -1;

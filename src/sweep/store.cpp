@@ -9,6 +9,7 @@
 #include "sweep/hash.hpp"
 #include "sweep/telemetry.hpp"
 #include "util/text.hpp"
+#include "util/vfs.hpp"
 
 namespace iop::sweep {
 
@@ -331,7 +332,7 @@ CampaignStore::InitResult CampaignStore::initialize(
   std::filesystem::create_directories(root_ / "cells");
   std::filesystem::create_directories(root_ / "captures");
   if (result != InitResult::Matched) {
-    writeFileAtomically(campaignFile, canonicalText);
+    util::vfs::replaceFile(campaignFile, canonicalText);
   }
   return result;
 }
@@ -360,7 +361,7 @@ std::optional<CellResult> CampaignStore::tryLoadCell(
 
 void CampaignStore::saveCell(const CellResult& cell) const {
   const std::string text = cell.render();
-  writeFileAtomically(cellPath(cell.key), text);
+  util::vfs::replaceFile(cellPath(cell.key), text);
   if (telemetry_ != nullptr) telemetry_->cellSaved("store", text.size());
 }
 
@@ -368,7 +369,7 @@ void CampaignStore::saveCapture(const std::string& key,
                                 const obs::RunCapture& capture) const {
   std::ostringstream out;
   capture.write(out);
-  writeFileAtomically(capturePath(key), out.str());
+  util::vfs::replaceFile(capturePath(key), out.str());
   if (telemetry_ != nullptr) telemetry_->captureSaved();
 }
 
@@ -385,7 +386,7 @@ void CampaignStore::writeManifest(const ResolvedCampaign& campaign,
         << campaign.cellTitle(cell) << "\n";
   }
   out << "end\n";
-  writeFileAtomically(manifestPath(), out.str());
+  util::vfs::replaceFile(manifestPath(), out.str());
 }
 
 std::size_t CampaignStore::gc(const std::set<std::string>& liveKeys) const {
@@ -444,7 +445,7 @@ std::optional<CellResult> SharedStore::tryLoadCell(
 void SharedStore::saveCell(const CellResult& cell) const {
   std::filesystem::create_directories(root_ / "cells");
   const std::string text = cell.render();
-  writeFileAtomically(cellPath(cell.key), text);
+  util::vfs::replaceFile(cellPath(cell.key), text);
   if (telemetry_ != nullptr) {
     telemetry_->cellSaved("shared_store", text.size());
   }

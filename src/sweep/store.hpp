@@ -25,7 +25,6 @@
 
 #include "obs/capture.hpp"
 #include "sweep/campaign.hpp"
-#include "util/fsatomic.hpp"
 
 namespace iop::sweep {
 
@@ -102,10 +101,6 @@ struct CellResult {
 /// diffable with iop-diff (app = model label, config = config label,
 /// makespan = estimated Time_io).
 obs::RunCapture makeCellCapture(const CellResult& cell);
-
-/// Atomic temp-and-rename file replacement (implementation lives in
-/// util/fsatomic.hpp so the obs capture archive shares it).
-using util::writeFileAtomically;
 
 /// Campaign-independent shared result cache: a flat content-addressed
 /// pool of cells (and characterization models) that overlapping campaigns

@@ -16,6 +16,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "mpi/runtime.hpp"
+#include "obs/trend.hpp"
 #include "storage/faults.hpp"
 
 namespace {
@@ -240,10 +241,11 @@ TEST(FaultInjector, SeedsAggregateIntoMinMedianMax) {
 }
 
 TEST(MedianOf, HandlesOddEvenAndEmpty) {
-  EXPECT_DOUBLE_EQ(analysis::medianOf({}), 0.0);
-  EXPECT_DOUBLE_EQ(analysis::medianOf({3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(analysis::medianOf({5.0, 1.0, 3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(analysis::medianOf({4.0, 1.0, 3.0, 2.0}), 2.5);
+  // The one median behind degraded estimates, seed ranking and trends.
+  EXPECT_DOUBLE_EQ(obs::medianOf({}), 0.0);
+  EXPECT_DOUBLE_EQ(obs::medianOf({3.0}), 3.0);
+  EXPECT_DOUBLE_EQ(obs::medianOf({5.0, 1.0, 3.0}), 3.0);
+  EXPECT_DOUBLE_EQ(obs::medianOf({4.0, 1.0, 3.0, 2.0}), 2.5);
 }
 
 // ------------------------------------------------ zero-perturbation gate

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -128,6 +129,36 @@ TEST(Engine, RunUntilStopsAtLimit) {
   EXPECT_DOUBLE_EQ(eng.now(), 3.0);
   eng.runUntil(10.0);
   EXPECT_EQ(log, (std::vector<int>{1, 2}));
+}
+
+TEST(Engine, EventsScheduledAtABoundedStopRunInOrder) {
+  // After runUntil(limit) the clock sits at the limit with a later event
+  // waiting.  Processes spawned there, dated in the past (clamped to the
+  // limit) or just after it, run in (when, seq) order: spawn order first,
+  // then each one's same-time yield, then the later events.
+  Engine eng;
+  std::vector<std::pair<int, double>> log;
+  const auto worker = [](Engine& e, std::vector<std::pair<int, double>>& out,
+                         int id) -> Task<void> {
+    out.emplace_back(id, e.now());
+    co_await e.yield();
+    out.emplace_back(id, e.now());
+  };
+  eng.spawnAt(5.0, worker(eng, log, 9));
+  eng.spawnAt(1.0, worker(eng, log, 0));
+  eng.runUntil(2.0);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_DOUBLE_EQ(eng.now(), 2.0);
+
+  eng.spawnAt(2.5, worker(eng, log, 4));
+  eng.spawn(worker(eng, log, 1));
+  eng.spawnAt(0.5, worker(eng, log, 2));
+  eng.spawnAt(2.0, worker(eng, log, 3));
+  eng.run();
+  const std::vector<std::pair<int, double>> expected = {
+      {0, 1.0}, {0, 1.0}, {1, 2.0}, {2, 2.0}, {3, 2.0}, {1, 2.0},
+      {2, 2.0}, {3, 2.0}, {4, 2.5}, {4, 2.5}, {9, 5.0}, {9, 5.0}};
+  EXPECT_EQ(log, expected);
 }
 
 TEST(Engine, DeterministicEventCount) {
@@ -364,10 +395,10 @@ TEST(WhenAll, ChildExceptionRethrownAfterAllFinish) {
 
 // ----------------------------------------------------- scheduler identity
 //
-// The calendar-queue scheduler must dispatch in exactly the (when, seq)
-// order the binary heap did.  Two lines of defense: a golden digest of a
-// mixed workload captured against the pre-calendar engine, and a
-// randomized lockstep equivalence test against the reference HeapQueue.
+// The engine's ReadyQueue must dispatch in exactly the (when, seq) order of
+// a binary heap.  Two lines of defense: a golden digest of a mixed workload
+// captured against the original binary-heap engine, and lockstep
+// equivalence tests against the reference HeapQueue.
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -427,11 +458,10 @@ std::uint64_t runDigestWorkload(std::uint64_t* orderDigest = nullptr,
 }
 
 TEST(EngineDigest, GoldenWorkloadDigestIsStable) {
-  // Captured from the binary-heap scheduler before the calendar queue
-  // landed: 64 interleaved processes contending on a resource, with
-  // spawns, delays, rng-driven timing, and yields.  Any scheduler change
-  // that reorders a single dispatch, or perturbs one timestamp, moves
-  // this digest.
+  // Captured from the original binary-heap scheduler: 64 interleaved
+  // processes contending on a resource, with spawns, delays, rng-driven
+  // timing, and yields.  Any scheduler change that reorders a single
+  // dispatch, or perturbs one timestamp, moves this digest.
   EXPECT_EQ(runDigestWorkload(), 0xb0c9eff8d3deb1a8ULL);
 }
 
@@ -494,54 +524,136 @@ TEST(Engine, DeadlineStopsAnEndlessRun) {
   }
 }
 
-TEST(ReadyQueue, CalendarMatchesHeapOnRandomWorkloads) {
-  util::Rng rng(1234);
-  detail::CalendarQueue calendar;
+/// Feeds ReadyQueue and the reference HeapQueue the same pushes and checks
+/// every pop against the heap; `now` follows the popped events, as the
+/// engine's clock does.
+struct Lockstep {
+  detail::ReadyQueue ready;
   detail::HeapQueue heap;
   Time now = 0.0;
   std::uint64_t seq = 0;
+  std::uint64_t pops = 0;
 
-  const auto pushBoth = [&](Time when) {
+  void push(Time when) {
     const detail::QueuedEvent ev{when, seq++, {}, false};
-    calendar.push(ev, now);
-    heap.push(ev, now);
-  };
+    ready.push(ev, now);
+    heap.push(ev);
+  }
 
-  for (int i = 0; i < 32; ++i) pushBoth(rng.uniform() * 2.0);
-
-  int pops = 0;
-  while (!heap.empty()) {
-    ASSERT_EQ(calendar.size(), heap.size());
-    const detail::QueuedEvent* top = calendar.peek(now);
+  void pop() {
+    ASSERT_EQ(ready.size(), heap.size());
+    const detail::QueuedEvent* top = ready.peek();
     ASSERT_NE(top, nullptr);
-    const detail::QueuedEvent expected = heap.pop(now);
-    EXPECT_EQ(top->when, expected.when);
-    EXPECT_EQ(top->seq, expected.seq);
-    const detail::QueuedEvent got = calendar.pop(now);
+    const detail::QueuedEvent expected = heap.pop();
+    ASSERT_EQ(top->when, expected.when);
+    ASSERT_EQ(top->seq, expected.seq);
+    const detail::QueuedEvent got = ready.pop();
     ASSERT_EQ(got.when, expected.when);
     ASSERT_EQ(got.seq, expected.seq);
     now = got.when;
     ++pops;
-    if (pops >= 20000) continue;  // stop feeding, drain what's left
+  }
+
+  void drain() {
+    while (!heap.empty()) ASSERT_NO_FATAL_FAILURE(pop());
+    EXPECT_TRUE(ready.empty());
+    EXPECT_EQ(ready.peek(), nullptr);
+  }
+};
+
+TEST(ReadyQueue, CalendarMatchesHeapOnRandomWorkloads) {
+  util::Rng rng(1234);
+  Lockstep q;
+  for (int i = 0; i < 32; ++i) q.push(rng.uniform() * 2.0);
+
+  while (!q.heap.empty()) {
+    ASSERT_NO_FATAL_FAILURE(q.pop());
+    if (q.pops >= 20000) continue;  // stop feeding, drain what's left
     const double r = rng.uniform();
     if (r < 0.2) {
-      pushBoth(now);  // FIFO lane
+      q.push(q.now);  // FIFO lane
     } else if (r < 0.7) {
-      pushBoth(now + rng.uniform() * 0.01);  // clustered near future
+      q.push(q.now + rng.uniform() * 0.01);  // clustered near future
     } else if (r < 0.95) {
-      pushBoth(now + rng.uniform());  // medium horizon
+      q.push(q.now + rng.uniform());  // medium horizon
     } else {
-      pushBoth(now + 50.0 + rng.uniform() * 100.0);  // far-future jump
+      q.push(q.now + 50.0 + rng.uniform() * 100.0);  // far-future jump
     }
     if (r < 0.1) {
       // Burst of ties at one timestamp: seq must break them.
-      const Time t = now + rng.uniform() * 0.05;
-      for (int k = 0; k < 5; ++k) pushBoth(t);
+      const Time t = q.now + rng.uniform() * 0.05;
+      for (int k = 0; k < 5; ++k) q.push(t);
     }
   }
-  EXPECT_GE(pops, 20000);
-  EXPECT_TRUE(calendar.empty());
-  EXPECT_EQ(calendar.peek(now), nullptr);
+  EXPECT_GE(q.pops, 20000u);
+  q.drain();
+}
+
+TEST(ReadyQueue, PushesAtABoundedStopMatchHeap) {
+  // runUntil's shape: dispatch up to a limit, stop with later events
+  // waiting, move the clock to the limit and push there — into the lane,
+  // ahead of every waiting event — and just after it.
+  util::Rng rng(7);
+  Lockstep q;
+  for (int i = 0; i < 64; ++i) q.push(rng.uniform() * 10.0);
+  for (int stop = 1; stop <= 9; ++stop) {
+    const Time limit = stop;
+    while (q.ready.peek() != nullptr && q.ready.peek()->when <= limit) {
+      ASSERT_NO_FATAL_FAILURE(q.pop());
+    }
+    q.now = limit;
+    for (int k = 0; k < 4; ++k) q.push(limit);
+    q.push(limit + rng.uniform());
+    q.push(limit);
+    ASSERT_NO_FATAL_FAILURE(q.pop());
+    EXPECT_EQ(q.now, limit);
+  }
+  q.drain();
+}
+
+TEST(ReadyQueue, TiesAtNowRunBehindHeapEventsDueAtNow) {
+  // Events scheduled for t=1 while the clock was earlier sit in the heap;
+  // once the clock reaches 1, pushes at 1 join the lane and must run after
+  // all of them (higher seq), however the pops interleave with pushes.
+  Lockstep q;
+  for (int k = 0; k < 6; ++k) q.push(1.0);
+  q.push(0.5);
+  q.push(2.0);
+  ASSERT_NO_FATAL_FAILURE(q.pop());  // 0.5
+  ASSERT_NO_FATAL_FAILURE(q.pop());  // the first heap event at 1
+  for (int round = 0; round < 8; ++round) {
+    q.push(q.now);
+    q.push(q.now);
+    ASSERT_NO_FATAL_FAILURE(q.pop());
+  }
+  // A clock moved back behind the lane's events (Engine::runUntil with a
+  // limit below now() does that) must not break the order: an earlier
+  // push cannot join the lane behind them.
+  q.now = 0.75;
+  q.push(0.75);
+  q.push(1.0);
+  q.drain();
+  EXPECT_EQ(q.now, 2.0);
+}
+
+TEST(ReadyQueue, SameTimePingPongMatchesHeap) {
+  // Two processes handing control back and forth at one instant, 100k
+  // times, while later events wait in the heap: every push lands in the
+  // lane, which is never empty until the exchange stops.
+  Lockstep q;
+  q.push(3.0);
+  q.push(1.0);
+  q.push(0.0);
+  q.push(0.0);
+  ASSERT_NO_FATAL_FAILURE(q.pop());
+  for (int i = 0; i < 100000; ++i) {
+    q.push(q.now);
+    ASSERT_NO_FATAL_FAILURE(q.pop());
+  }
+  EXPECT_EQ(q.now, 0.0);
+  EXPECT_EQ(q.ready.size(), 3u);
+  q.drain();
+  EXPECT_EQ(q.pops, 100004u);
 }
 
 // ------------------------------------------------ schedule-time validation

@@ -4,10 +4,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -411,9 +414,9 @@ TEST(SweepConfig, BuildRejectsBadDegradation) {
 }
 
 TEST(SweepDigest, GoldenCampaignDigestIsStable) {
-  // Captured from the binary-heap scheduler before the calendar queue
-  // landed: every cell of a 12-cell campaign, characterization included,
-  // must render byte-identical results on the new engine.  The trailing
+  // Captured from the original binary-heap scheduler: every cell of a
+  // 12-cell campaign, characterization included, must render
+  // byte-identical results on every later engine.  The trailing
   // `checksum` seal is stripped before hashing — it is derived from the
   // other bytes, and dropping it keeps the golden value comparable all
   // the way back to stores written before cells were checksummed.
@@ -1504,6 +1507,40 @@ TEST(SweepWatchdog, SoftDeadlineFiresInsideTheSimulation) {
   ASSERT_NE(slowNow, nullptr);
   EXPECT_EQ(slowNow->value(), 0.0);
   EXPECT_EQ(snapshotResults(dir.path()), snapshotTree(plain.path()));
+}
+
+TEST(SweepWatchdog, DeadlinesPastTheClockRangeAreOff) {
+  // 1e12 s and +inf lie past the end of steady_clock's nanosecond range:
+  // such a deadline is off, not a point already in the past.
+  const auto campaign =
+      resolveTestCampaign("name tiny\napp example\nconfig A\n");
+  const std::string key = campaign.planCells()[0].key;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> softHard[] = {
+      {0, 1e12}, {0, inf}, {1e12, 0}};
+  for (const auto& [soft, hard] : softHard) {
+    SCOPED_TRACE("soft " + std::to_string(soft) + " hard " +
+                 std::to_string(hard));
+    TempDir dir("watchdog_far");
+    sweep::TelemetryConfig config;
+    config.journalPath = (dir.path() / "journal" / "run-1-1.jsonl").string();
+    sweep::SweepTelemetry telemetry(config);
+    sweep::CampaignStore store(dir.path());
+    sweep::SweepOptions options;
+    options.softDeadlineSeconds = soft;
+    options.hardDeadlineSeconds = hard;
+    options.telemetry = &telemetry;
+    const auto outcome = sweep::runSweep(campaign, store, options);
+    telemetry.finish();
+
+    EXPECT_EQ(outcome.computed, 1u);
+    EXPECT_EQ(outcome.failures, 0u);
+    EXPECT_EQ(outcome.stuck, 0u);
+    EXPECT_FALSE(std::filesystem::exists(dir.path() / "quarantine" /
+                                         (key + ".stuck.1")));
+    EXPECT_EQ(journalEvents(config.journalPath, "cell_slow"), 0u);
+    EXPECT_EQ(journalEvents(config.journalPath, "cell_stuck"), 0u);
+  }
 }
 
 TEST(SweepWatchdog, HardDeadlineAbandonsOnceThenRetrySucceeds) {

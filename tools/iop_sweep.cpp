@@ -234,7 +234,8 @@ int cmdRun(const util::Args& args, tools::ObsSession& obs) {
   options.telemetry = &telemetry;
   options.softDeadlineSeconds = args.getDouble("soft-deadline-s", 0.0);
   options.hardDeadlineSeconds = args.getDouble("hard-deadline-s", 0.0);
-  if (options.softDeadlineSeconds < 0 || options.hardDeadlineSeconds < 0) {
+  if (!(options.softDeadlineSeconds >= 0 &&
+        options.hardDeadlineSeconds >= 0)) {
     throw std::invalid_argument(
         "--soft-deadline-s / --hard-deadline-s must be >= 0");
   }

@@ -22,9 +22,9 @@
 #include "obs/trend.hpp"
 #include "sweep/fsck.hpp"
 #include "util/args.hpp"
-#include "util/fsatomic.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "util/vfs.hpp"
 
 namespace {
 
@@ -137,7 +137,7 @@ int cmdReport(const util::Args& args) {
     if (path == "-") {
       std::printf("%s", report.renderHtml().c_str());
     } else {
-      util::writeFileAtomically(path, report.renderHtml());
+      util::vfs::replaceFile(path, report.renderHtml());
       std::printf("wrote HTML trend report (%zu series) to %s\n",
                   report.series.size(), path.c_str());
     }
