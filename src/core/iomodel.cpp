@@ -144,7 +144,11 @@ void IOModel::write(std::ostream& out) const {
         << ' ' << f.etypeBytes << ' ' << f.viewDisp << ' ' << f.filetypeBlock
         << ' ' << f.filetypeStride << ' ' << (f.sawCollective ? 1 : 0) << ' '
         << (f.sawExplicitOffsets ? 1 : 0) << ' '
-        << (f.sawIndividualPointers ? 1 : 0) << ' ' << f.np << "\n";
+        << (f.sawIndividualPointers ? 1 : 0) << ' ' << f.np;
+    // The 13th field appears only when set, so every blocking model keeps
+    // its text and with it its digest and sweep cache key.
+    if (f.sawNonBlocking) out << " 1";
+    out << "\n";
   }
   char buf[512];
   for (const auto& p : phases_) {

@@ -10,19 +10,16 @@
 //    it shares with its predecessor plus the differing suffix — metric
 //    names and histogram-bucket rows share long prefixes).
 //
-// Layout after the sniffable "iop-capture v2\n" first line is a block
-// sequence; each block is
-//
-//   [1 byte tag][varint payloadLen][payload][8 bytes LE FNV-1a64(payload)]
-//
-// with tags 'H' (header: np, makespan, app, config), 'P' (phase columns),
-// 'M' (front-coded metrics CSV) and 'E' (end marker, empty payload,
-// nothing may follow).  Every block's checksum is verified before its
-// payload is parsed, so a torn tail, a truncated download or a flipped
-// bit is rejected with a byte-offset diagnostic instead of mis-parsing
-// into a plausible-looking capture.  Doubles travel as raw IEEE-754 bits:
-// read-back is bit-exact, which is what lets iop-diff compare a v1
-// capture against its v2 re-encoding with zero findings.
+// Layout after the sniffable "iop-capture v2\n" first line is the block
+// sequence of obs/codec.hpp, with tags 'H' (header: np, makespan, app,
+// config), 'P' (phase columns), 'M' (front-coded metrics CSV) and 'E'
+// (end marker, empty payload, nothing may follow).  Every block's
+// checksum is verified before its payload is parsed, so a torn tail, a
+// truncated download or a flipped bit is rejected with a byte-offset
+// diagnostic instead of mis-parsing into a plausible-looking capture.
+// Doubles travel as raw IEEE-754 bits: read-back is bit-exact, which is
+// what lets iop-diff compare a v1 capture against its v2 re-encoding
+// with zero findings.
 #include "obs/capture.hpp"
 
 #include <cstring>
@@ -36,23 +33,20 @@ namespace iop::obs::detail {
 namespace {
 
 constexpr const char* kMagicV2 = "iop-capture v2\n";
+constexpr codec::Format kFormat{"capture v2", "capture"};
 constexpr char kBlockHeader = 'H';
 constexpr char kBlockPhases = 'P';
 constexpr char kBlockMetrics = 'M';
-constexpr char kBlockEnd = 'E';
+constexpr char kBlockEnd = codec::kEndTag;
 
-using codec::fnv1a;
-using codec::getF64;
-using codec::getVarint;
+using codec::appendBlock;
 using codec::putF64;
 using codec::putString;
 using codec::putVarint;
 using codec::putZigzag;
-using codec::unzigzag;
 
 [[noreturn]] void bad(const std::string& what, std::size_t offset) {
-  throw std::runtime_error("capture v2: " + what + " at byte offset " +
-                           std::to_string(offset));
+  codec::fail(kFormat, what, offset);
 }
 
 /// Append one RLE pair stream encoding `values`: repeated
@@ -65,16 +59,6 @@ void putRleColumn(std::string& out, const std::vector<std::int64_t>& values) {
     putVarint(out, run);
     putZigzag(out, values[i]);
     i += run;
-  }
-}
-
-void appendBlock(std::string& out, char tag, const std::string& payload) {
-  out.push_back(tag);
-  putVarint(out, payload.size());
-  out.append(payload);
-  const std::uint64_t sum = fnv1a(payload.data(), payload.size());
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
   }
 }
 
@@ -101,138 +85,6 @@ std::size_t commonPrefix(const std::string& a, const std::string& b) {
   while (n < limit && a[n] == b[n]) ++n;
   return n;
 }
-
-// ---- decoding ----------------------------------------------------------
-
-/// One verified block, pointing into the file's byte buffer.
-struct Block {
-  char tag = 0;
-  const char* payload = nullptr;
-  std::size_t size = 0;
-  std::size_t offset = 0;  ///< payload start in the file (diagnostics)
-};
-
-/// Bounds- and checksum-verified block walk.
-class BlockReader {
- public:
-  BlockReader(const std::string& bytes, std::size_t pos)
-      : data_(bytes.data()), size_(bytes.size()), pos_(pos) {}
-
-  /// Next block, checksum-verified.  Returns false at a clean end of
-  /// file; throws on truncation, a bad checksum, or trailing bytes after
-  /// the end block.
-  bool next(Block& out) {
-    if (sawEnd_) {
-      if (pos_ != size_) bad("trailing bytes after end block", pos_);
-      return false;
-    }
-    if (pos_ >= size_) bad("truncated before end block", pos_);
-    const std::size_t blockStart = pos_;
-    const char tag = data_[pos_++];
-    std::uint64_t len = 0;
-    if (!getVarint(data_, size_, pos_, len)) {
-      bad("truncated block length", blockStart);
-    }
-    if (len > size_ - pos_ || size_ - pos_ - len < 8) {
-      bad("block payload overruns the file (torn or truncated capture)",
-          blockStart);
-    }
-    const char* payload = data_ + pos_;
-    const std::size_t payloadOffset = pos_;
-    pos_ += len;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i) {
-      stored |= static_cast<std::uint64_t>(
-                    static_cast<unsigned char>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 8;
-    if (stored != fnv1a(payload, len)) {
-      bad(std::string("checksum mismatch in '") + tag +
-              "' block (bit flip or torn write)",
-          blockStart);
-    }
-    if (tag == kBlockEnd) sawEnd_ = true;
-    out = Block{tag, payload, static_cast<std::size_t>(len), payloadOffset};
-    return true;
-  }
-
-  bool sawEnd() const noexcept { return sawEnd_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_;
-  bool sawEnd_ = false;
-};
-
-/// Cursor over one verified block payload with throwing accessors.
-class PayloadReader {
- public:
-  explicit PayloadReader(const Block& block)
-      : data_(block.payload), size_(block.size), base_(block.offset) {}
-
-  std::uint64_t varint(const char* what) {
-    std::uint64_t v = 0;
-    if (!getVarint(data_, size_, pos_, v)) {
-      bad(std::string("truncated ") + what, base_ + pos_);
-    }
-    return v;
-  }
-
-  std::int64_t zigzag(const char* what) {
-    return unzigzag(varint(what));
-  }
-
-  double f64(const char* what) {
-    double v = 0;
-    if (!getF64(data_, size_, pos_, v)) {
-      bad(std::string("truncated ") + what, base_ + pos_);
-    }
-    return v;
-  }
-
-  std::string str(const char* what) {
-    const std::uint64_t len = varint(what);
-    if (len > size_ - pos_ || pos_ > size_) {
-      bad(std::string(what) + " length overruns its block", base_ + pos_);
-    }
-    std::string out(data_ + pos_, len);
-    pos_ += len;
-    return out;
-  }
-
-  /// Decode an RLE column of exactly `n` values.
-  std::vector<std::int64_t> rleColumn(std::size_t n, const char* what) {
-    std::vector<std::int64_t> values;
-    values.reserve(n);
-    while (values.size() < n) {
-      const std::uint64_t run = varint(what);
-      if (run == 0 || run > n - values.size()) {
-        bad(std::string("bad run length in ") + what, base_ + pos_);
-      }
-      const std::int64_t v = zigzag(what);
-      values.insert(values.end(), static_cast<std::size_t>(run), v);
-    }
-    return values;
-  }
-
-  void expectExhausted(const char* what) {
-    if (pos_ != size_) {
-      bad(std::string("trailing bytes in ") + what + " block",
-          base_ + pos_);
-    }
-  }
-
-  std::size_t remaining() const noexcept { return size_ - pos_; }
-  std::size_t offset() const noexcept { return base_ + pos_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t base_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -317,10 +169,10 @@ RunCapture decodeCaptureV2(const std::string& bytes) {
   }
   RunCapture cap;
   bool sawHeader = false, sawPhases = false, sawMetrics = false;
-  BlockReader blocks(bytes, magicLen);
-  Block block;
+  codec::BlockReader blocks(kFormat, bytes, magicLen);
+  codec::Block block;
   while (blocks.next(block)) {
-    PayloadReader in(block);
+    codec::PayloadReader in(kFormat, block);
     switch (block.tag) {
       case kBlockHeader: {
         if (sawHeader) bad("duplicate header block", block.offset);

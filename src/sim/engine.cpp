@@ -81,7 +81,8 @@ void Engine::dispatchUntil(Time limit, bool bounded) {
     const detail::QueuedEvent* top = queue_.peek();
     if (top == nullptr) return;
     if (bounded && top->when > limit) {
-      now_ = limit;
+      // A limit already behind the clock must not move it backwards.
+      now_ = std::max(now_, limit);
       return;
     }
     const detail::QueuedEvent ev = queue_.pop();

@@ -2,15 +2,20 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <climits>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
+#include "obs/codec.hpp"
 #include "util/table.hpp"
 #include "util/text.hpp"
+#include "util/vfs.hpp"
 
 namespace iop::trace {
 
@@ -22,45 +27,15 @@ std::string traceFileName(const std::string& app, int rank) {
   return app + ".trace." + std::to_string(rank);
 }
 
-/// Format the whole rank file into one buffer and write it at once.
-void writeRankFile(const fs::path& path,
-                   const std::vector<Record>& records) {
-  std::string text =
-      "# iop-trace v1\n"
-      "# IdP IdF MPI-Operation Offset tick RequestSize time duration\n";
-  text.reserve(text.size() + records.size() * 96);  // lines run 60-90 bytes
-  using util::appendChars;
-  for (const auto& r : records) {
-    appendChars(text, r.rank);
-    text += ' ';
-    appendChars(text, r.fileId);
-    text += ' ';
-    text += r.op;
-    text += ' ';
-    appendChars(text, r.offsetUnits);
-    text += ' ';
-    appendChars(text, r.tick);
-    text += ' ';
-    appendChars(text, r.requestBytes);
-    text += ' ';
-    appendChars(text, r.time, std::chars_format::fixed, 9);
-    text += ' ';
-    appendChars(text, r.duration, std::chars_format::fixed, 9);
-    text += '\n';
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path.string());
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.close();
-  if (!out) throw std::runtime_error("write failed: " + path.string());
-}
-
-// --------------------------------------------------------------- parsing
+// ------------------------------------------------------- v1 (Figure 2)
 //
-// Rank files are parsed in a single pass over one whole-file buffer with
-// std::from_chars — no per-line streams, no per-token string copies.  A
-// trace directory is read back once per characterization, and on large
-// apps this path dominated model extraction.
+// The paper's text format, read only: one file per rank
+// (`<app>.trace.<rank>`) with columns
+//   IdP IdF MPI-Operation Offset tick RequestSize time duration
+// plus `<app>.meta` holding np, the per-file characteristics and the comm
+// counts.  Rank files are parsed in a single pass over one whole-file
+// buffer with std::from_chars — no per-line streams, no per-token string
+// copies.
 
 constexpr bool isSpace(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
@@ -189,35 +164,7 @@ std::vector<Record> readRankFile(const fs::path& path) {
   return records;
 }
 
-}  // namespace
-
-void writeTraces(const fs::path& dir, const TraceData& data) {
-  IOP_PROFILE_SCOPE("trace.write");
-  fs::create_directories(dir);
-  for (int rank = 0; rank < data.np; ++rank) {
-    writeRankFile(dir / traceFileName(data.appName, rank),
-                  data.perRank[static_cast<std::size_t>(rank)]);
-  }
-  std::ofstream meta(dir / (data.appName + ".meta"));
-  if (!meta) throw std::runtime_error("cannot open meta file");
-  meta << "# iop-trace-meta v1\n";
-  meta << "app " << data.appName << "\n";
-  meta << "np " << data.np << "\n";
-  for (const auto& f : data.files) {
-    meta << "file " << f.fileId << ' ' << f.path << ' ' << (f.shared ? 1 : 0)
-         << ' ' << f.etypeBytes << ' ' << f.viewDisp << ' '
-         << f.filetypeBlock << ' ' << f.filetypeStride << ' '
-         << (f.sawCollective ? 1 : 0) << ' ' << (f.sawExplicitOffsets ? 1 : 0)
-         << ' ' << (f.sawIndividualPointers ? 1 : 0) << ' ' << f.np << "\n";
-  }
-  for (std::size_t i = 0; i < data.commEventsPerRank.size(); ++i) {
-    meta << "comm " << i << ' ' << data.commEventsPerRank[i] << "\n";
-  }
-  if (!meta) throw std::runtime_error("meta write failed");
-}
-
-TraceData readTraces(const fs::path& dir, const std::string& appName) {
-  IOP_PROFILE_SCOPE("trace.parse");
+TraceData readV1(const fs::path& dir, const std::string& appName) {
   TraceData data;
   data.appName = appName;
   const fs::path metaPath = dir / (appName + ".meta");
@@ -293,6 +240,359 @@ TraceData readTraces(const fs::path& dir, const std::string& appName) {
         comm.events;
   }
   return data;
+}
+
+// ------------------------------------------------------- v2 (container)
+//
+// One file per run, `<app>.trace`: the sniffable first line
+// "iop-trace v2\n", then the checksummed blocks of obs/codec.hpp in a
+// fixed order:
+//
+//   'H'  app, np, the file table (every FileMeta field), np comm counts
+//   'S'  signature table: the distinct (op, file id, request size)
+//   'D'  time dictionary, then duration dictionary (IEEE-754 doubles)
+//   'R'  one record stream per rank: the rank once, the record count,
+//        then per record { signature index, offset delta, zigzag tick
+//        delta, time index, duration index }; the offset delta is stored
+//        zigzagged as its change from the previous delta, so a strided
+//        run, the access the paper models, costs one byte per offset
+//   'E'  end
+//
+// Tables and dictionaries are built in order of first appearance, so the
+// bytes are a function of the trace alone.  The dictionaries hold the
+// value v1's nine-decimal text reads back as (v1Value), not the raw
+// double: models extracted from a v2 trace are then bit-identical to
+// models extracted from the same trace round-tripped through v1 text.
+
+constexpr const char* kMagicV2 = "iop-trace v2\n";
+constexpr obs::codec::Format kFormatV2{"trace v2", "trace"};
+constexpr char kBlockHeader = 'H';
+constexpr char kBlockSignatures = 'S';
+constexpr char kBlockDictionaries = 'D';
+constexpr char kBlockRecords = 'R';
+constexpr char kBlockEnd = obs::codec::kEndTag;
+
+// Smallest encodings, which bound every count before it sizes anything.
+constexpr std::size_t kMinFileBytes = 8;  // id, path length, flags, 5 ints
+constexpr std::size_t kMinSignatureBytes = 3;  // op length, file id, size
+constexpr std::size_t kMinRecordBytes = 5;     // five varints
+
+/// The value a v1 trace reads back for `x`: its "%.9f" text, parsed.
+double v1Value(double x) {
+  char buf[352];  // DBL_MAX in fixed notation: 309 digits + sign + decimals
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, x, std::chars_format::fixed, 9)
+          .ptr;
+  double back = 0;
+  std::from_chars(buf, end, back);
+  return back;
+}
+
+/// Distinct keys in order of first appearance — the table a decoder
+/// indexes — with the index of each.
+template <typename Key, typename Hash = std::hash<Key>>
+struct FirstSeen {
+  std::vector<Key> keys;
+  std::unordered_map<Key, std::uint32_t, Hash> index;
+
+  std::uint32_t indexOf(const Key& key) {
+    const auto [it, fresh] =
+        index.try_emplace(key, static_cast<std::uint32_t>(keys.size()));
+    if (fresh) keys.push_back(key);
+    return it->second;
+  }
+};
+
+struct Signature {
+  std::uint32_t op = 0;  ///< index into the encoder's op names
+  int fileId = 0;
+  std::uint64_t requestBytes = 0;
+  bool operator==(const Signature&) const = default;
+};
+
+struct SignatureHash {
+  std::size_t operator()(const Signature& s) const noexcept {
+    return std::hash<std::uint64_t>{}(
+        s.requestBytes * 0x9e3779b97f4a7c15ULL ^
+        (std::uint64_t{s.op} << 32 | static_cast<std::uint32_t>(s.fileId)));
+  }
+};
+
+}  // namespace
+
+std::string encodeTrace(const TraceData& data) {
+  if (data.np <= 0 ||
+      data.perRank.size() != static_cast<std::size_t>(data.np) ||
+      data.commEventsPerRank.size() > data.perRank.size()) {
+    throw std::invalid_argument(
+        "writeTraces: np, per-rank streams and comm counts disagree");
+  }
+  FirstSeen<std::string_view> opNames;
+  std::uint32_t lastOp = 0;
+  FirstSeen<Signature, SignatureHash> signatures;
+  FirstSeen<std::uint64_t> times;
+  FirstSeen<std::uint64_t> durations;
+
+  std::vector<std::string> streams(data.perRank.size());
+  for (std::size_t rank = 0; rank < data.perRank.size(); ++rank) {
+    const auto& records = data.perRank[rank];
+    std::string& out = streams[rank];
+    out.reserve(records.size() * 8 + 8);
+    const int streamRank =
+        records.empty() ? static_cast<int>(rank) : records.front().rank;
+    obs::codec::putZigzag(out, streamRank);
+    obs::codec::putVarint(out, records.size());
+    std::uint64_t prevOffset = 0;
+    std::uint64_t stride = 0;  // the previous offset delta
+    std::uint64_t prevTick = 0;
+    for (const auto& r : records) {
+      if (r.rank != streamRank) {
+        throw std::invalid_argument("writeTraces: stream " +
+                                    std::to_string(rank) + " mixes ranks " +
+                                    std::to_string(streamRank) + " and " +
+                                    std::to_string(r.rank));
+      }
+      // Runs of one op are the rule: hash its name only when it changes.
+      if (opNames.keys.empty() || opNames.keys[lastOp] != r.op) {
+        lastOp = opNames.indexOf(r.op);
+      }
+      obs::codec::putVarint(
+          out, signatures.indexOf({lastOp, r.fileId, r.requestBytes}));
+      // Deltas wrap modulo 2^64, so any offset or tick sequence encodes.
+      const std::uint64_t delta = r.offsetUnits - prevOffset;
+      obs::codec::putZigzag(out, static_cast<std::int64_t>(delta - stride));
+      obs::codec::putZigzag(out, static_cast<std::int64_t>(r.tick - prevTick));
+      stride = delta;
+      obs::codec::putVarint(
+          out, times.indexOf(std::bit_cast<std::uint64_t>(r.time)));
+      obs::codec::putVarint(
+          out, durations.indexOf(std::bit_cast<std::uint64_t>(r.duration)));
+      prevOffset = r.offsetUnits;
+      prevTick = r.tick;
+    }
+  }
+
+  std::string header;
+  obs::codec::putString(header, data.appName);
+  obs::codec::putVarint(header, static_cast<std::uint64_t>(data.np));
+  obs::codec::putVarint(header, data.files.size());
+  for (const auto& f : data.files) {
+    obs::codec::putZigzag(header, f.fileId);
+    obs::codec::putString(header, f.path);
+    obs::codec::putVarint(header, (f.shared ? 1u : 0u) |
+                                      (f.sawCollective ? 2u : 0u) |
+                                      (f.sawExplicitOffsets ? 4u : 0u) |
+                                      (f.sawIndividualPointers ? 8u : 0u) |
+                                      (f.sawNonBlocking ? 16u : 0u));
+    obs::codec::putVarint(header, f.etypeBytes);
+    obs::codec::putVarint(header, f.viewDisp);
+    obs::codec::putVarint(header, f.filetypeBlock);
+    obs::codec::putVarint(header, f.filetypeStride);
+    obs::codec::putZigzag(header, f.np);
+  }
+  for (std::size_t rank = 0; rank < data.perRank.size(); ++rank) {
+    obs::codec::putVarint(header, rank < data.commEventsPerRank.size()
+                                      ? data.commEventsPerRank[rank]
+                                      : 0);
+  }
+
+  std::string table;
+  obs::codec::putVarint(table, signatures.keys.size());
+  for (const auto& sig : signatures.keys) {
+    obs::codec::putString(table, std::string(opNames.keys[sig.op]));
+    obs::codec::putZigzag(table, sig.fileId);
+    obs::codec::putVarint(table, sig.requestBytes);
+  }
+
+  std::string dictionaries;
+  for (const auto* dict : {&times, &durations}) {
+    obs::codec::putVarint(dictionaries, dict->keys.size());
+    for (const std::uint64_t bits : dict->keys) {
+      obs::codec::putF64(dictionaries, v1Value(std::bit_cast<double>(bits)));
+    }
+  }
+
+  std::string out(kMagicV2);
+  obs::codec::appendBlock(out, kBlockHeader, header);
+  obs::codec::appendBlock(out, kBlockSignatures, table);
+  obs::codec::appendBlock(out, kBlockDictionaries, dictionaries);
+  for (const auto& stream : streams) {
+    obs::codec::appendBlock(out, kBlockRecords, stream);
+  }
+  obs::codec::appendBlock(out, kBlockEnd, std::string());
+  return out;
+}
+
+namespace {
+
+[[noreturn]] void badV2(const std::string& what, std::size_t offset) {
+  obs::codec::fail(kFormatV2, what, offset);
+}
+
+/// A decoded count, checked against the bytes its items must occupy
+/// before anything is sized from it.
+std::size_t boundedCount(obs::codec::PayloadReader& in, const char* what,
+                         std::size_t minItemBytes) {
+  const std::size_t at = in.offset();
+  const std::uint64_t n = in.varint(what);
+  if (n > in.remaining() / minItemBytes) {
+    badV2(std::string(what) + " " + std::to_string(n) +
+              " exceeds what its block can hold",
+          at);
+  }
+  return static_cast<std::size_t>(n);
+}
+
+int intField(obs::codec::PayloadReader& in, const char* what) {
+  const std::size_t at = in.offset();
+  const std::int64_t v = in.zigzag(what);
+  if (v < INT_MIN || v > INT_MAX) {
+    badV2(std::string(what) + " out of range", at);
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
+TraceData decodeTrace(const std::string& bytes) {
+  const std::size_t magicLen = std::strlen(kMagicV2);
+  if (bytes.compare(0, magicLen, kMagicV2) != 0) {
+    badV2("missing 'iop-trace v2' header line", 0);
+  }
+  obs::codec::BlockReader blocks(kFormatV2, bytes, magicLen);
+  obs::codec::Block block;
+  const auto expect = [&](char tag, const char* what) {
+    if (!blocks.next(block) || block.tag != tag) {
+      badV2(std::string("expected the ") + what + " block", block.offset);
+    }
+    return obs::codec::PayloadReader(kFormatV2, block);
+  };
+
+  TraceData data;
+  {
+    auto in = expect(kBlockHeader, "header");
+    data.appName = in.str("app name");
+    const std::size_t at = in.offset();
+    const std::uint64_t np = in.varint("np");
+    // Each rank owns a comm count in this block and a stream after it.
+    if (np == 0 || np > in.remaining() || np > INT_MAX) {
+      badV2("np " + std::to_string(np) + " exceeds what the header can hold",
+            at);
+    }
+    data.np = static_cast<int>(np);
+    data.files.resize(boundedCount(in, "file count", kMinFileBytes));
+    for (auto& f : data.files) {
+      f.fileId = intField(in, "file id");
+      f.path = in.str("file path");
+      const std::size_t flagsAt = in.offset();
+      const std::uint64_t flags = in.varint("file flags");
+      if (flags >= 32) badV2("unknown file flags", flagsAt);
+      f.shared = (flags & 1) != 0;
+      f.sawCollective = (flags & 2) != 0;
+      f.sawExplicitOffsets = (flags & 4) != 0;
+      f.sawIndividualPointers = (flags & 8) != 0;
+      f.sawNonBlocking = (flags & 16) != 0;
+      f.etypeBytes = in.varint("etype size");
+      f.viewDisp = in.varint("view displacement");
+      f.filetypeBlock = in.varint("filetype block");
+      f.filetypeStride = in.varint("filetype stride");
+      f.np = intField(in, "file np");
+    }
+    data.commEventsPerRank.resize(static_cast<std::size_t>(np));
+    for (auto& events : data.commEventsPerRank) {
+      events = in.varint("comm count");
+    }
+    in.expectExhausted("header");
+  }
+
+  struct DecodedSignature {
+    std::string op;
+    int fileId;
+    std::uint64_t requestBytes;
+  };
+  std::vector<DecodedSignature> signatures;
+  {
+    auto in = expect(kBlockSignatures, "signature table");
+    signatures.resize(
+        boundedCount(in, "signature count", kMinSignatureBytes));
+    for (auto& sig : signatures) {
+      sig.op = in.str("op name");
+      sig.fileId = intField(in, "signature file id");
+      sig.requestBytes = in.varint("request size");
+    }
+    in.expectExhausted("signature table");
+  }
+
+  std::vector<double> times, durations;
+  {
+    auto in = expect(kBlockDictionaries, "dictionaries");
+    for (auto* dict : {&times, &durations}) {
+      dict->resize(boundedCount(in, "dictionary size", 8));
+      for (double& v : *dict) v = in.f64("dictionary entry");
+    }
+    in.expectExhausted("dictionaries");
+  }
+
+  data.perRank.resize(static_cast<std::size_t>(data.np));
+  for (auto& records : data.perRank) {
+    auto in = expect(kBlockRecords, "record stream");
+    const int rank = intField(in, "stream rank");
+    records.resize(boundedCount(in, "record count", kMinRecordBytes));
+    std::uint64_t offset = 0;
+    std::uint64_t stride = 0;
+    std::uint64_t tick = 0;
+    for (auto& r : records) {
+      const std::size_t at = in.offset();
+      const std::uint64_t sig = in.varint("signature index");
+      stride += static_cast<std::uint64_t>(in.zigzag("offset delta"));
+      offset += stride;
+      tick += static_cast<std::uint64_t>(in.zigzag("tick delta"));
+      const std::uint64_t time = in.varint("time index");
+      const std::uint64_t duration = in.varint("duration index");
+      if (sig >= signatures.size() || time >= times.size() ||
+          duration >= durations.size()) {
+        badV2("record index outside its table", at);
+      }
+      const auto& s = signatures[static_cast<std::size_t>(sig)];
+      r.rank = rank;
+      r.fileId = s.fileId;
+      r.op = s.op;
+      r.offsetUnits = offset;
+      r.tick = tick;
+      r.requestBytes = s.requestBytes;
+      r.time = times[static_cast<std::size_t>(time)];
+      r.duration = durations[static_cast<std::size_t>(duration)];
+    }
+    in.expectExhausted("record stream");
+  }
+  expect(kBlockEnd, "end").expectExhausted("end");
+  blocks.next(block);  // throws on any byte after the end block
+  return data;
+}
+
+fs::path traceFilePath(const fs::path& dir, const std::string& appName) {
+  return dir / (appName + ".trace");
+}
+
+void writeTraces(const fs::path& dir, const TraceData& data) {
+  IOP_PROFILE_SCOPE("trace.write");
+  const std::string bytes = encodeTrace(data);
+  fs::create_directories(dir);
+  // Atomic replace without fsync: a trace is regenerated, not recovered.
+  util::vfs::replaceFile(traceFilePath(dir, data.appName), bytes,
+                         util::vfs::Durability::Scratch);
+}
+
+TraceData readTraces(const fs::path& dir, const std::string& appName) {
+  IOP_PROFILE_SCOPE("trace.parse");
+  const fs::path path = traceFilePath(dir, appName);
+  if (!fs::exists(path)) return readV1(dir, appName);
+  const std::string bytes = readWholeFile(path);
+  try {
+    return decodeTrace(bytes);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path.string() + ": " + e.what());
+  }
 }
 
 std::string renderTraceTable(const TraceData& data, int rank,

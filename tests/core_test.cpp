@@ -9,6 +9,7 @@
 #include "core/lap.hpp"
 #include "core/offsetfn.hpp"
 #include "core/phase.hpp"
+#include "trace/tracefile.hpp"
 #include "trace/tracer.hpp"
 #include "util/units.hpp"
 
@@ -678,6 +679,43 @@ TEST(Model, NonBlockingMetadataSurvivesDerivation) {
   auto meta = model.metadataFor(1);
   EXPECT_FALSE(meta.blockingIo);
   EXPECT_NE(meta.describe().find("Non-blocking"), std::string::npos);
+}
+
+TEST(Model, NonBlockingMetadataSurvivesTraceAndModelFiles) {
+  // trace -> writeTraces/readTraces -> extract -> save/load must keep the
+  // non-blocking flag: both text formats once dropped it on disk.
+  TraceData data;
+  data.appName = "nb";
+  data.np = 2;
+  data.perRank.resize(2);
+  data.commEventsPerRank.assign(2, 0);
+  trace::FileMeta meta;
+  meta.fileId = 1;
+  meta.path = "nb.out";
+  meta.sawExplicitOffsets = true;
+  meta.sawNonBlocking = true;
+  meta.np = 2;
+  data.files.push_back(meta);
+  for (int r = 0; r < 2; ++r) {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      data.perRank[static_cast<std::size_t>(r)].push_back(
+          mkRec(r, 1, "MPI_File_iwrite_at",
+                (static_cast<std::uint64_t>(r) * 4 + i) * MiB, 1 + i, MiB,
+                0.1 * static_cast<double>(i), 0.05));
+    }
+  }
+  const auto dir =
+      std::filesystem::temp_directory_path() / "iop_model_nonblocking";
+  std::filesystem::remove_all(dir);
+  trace::writeTraces(dir, data);
+  const auto model = extractModel(trace::readTraces(dir, "nb"));
+  EXPECT_FALSE(model.metadataFor(1).blockingIo);
+  model.save(dir / "nb.model");
+  const auto loaded = IOModel::load(dir / "nb.model");
+  std::filesystem::remove_all(dir);
+  const auto loadedMeta = loaded.metadataFor(1);
+  EXPECT_FALSE(loadedMeta.blockingIo);
+  EXPECT_NE(loadedMeta.describe().find("Non-blocking"), std::string::npos);
 }
 
 TEST(Model, MetadataDerivation) {

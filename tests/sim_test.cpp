@@ -131,6 +131,27 @@ TEST(Engine, RunUntilStopsAtLimit) {
   EXPECT_EQ(log, (std::vector<int>{1, 2}));
 }
 
+TEST(Engine, RunUntilBehindTheClockLeavesItWhereItIs) {
+  // A bounded stop at a limit the clock has already passed must not move
+  // the clock backwards: a process spawned afterwards starts at the time
+  // of the last dispatched event.
+  Engine eng;
+  std::vector<int> log;
+  eng.spawn(appendAfter(eng, 3.0, log, 1));
+  eng.spawn(appendAfter(eng, 5.0, log, 2));
+  eng.runUntil(3.0);
+  eng.runUntil(1.0);
+  EXPECT_DOUBLE_EQ(eng.now(), 3.0);
+  std::vector<double> seen;
+  eng.spawn([](Engine& e, std::vector<double>& out) -> Task<void> {
+    out.push_back(e.now());
+    co_return;
+  }(eng, seen));
+  eng.run();
+  EXPECT_EQ(seen, (std::vector<double>{3.0}));
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+}
+
 TEST(Engine, EventsScheduledAtABoundedStopRunInOrder) {
   // After runUntil(limit) the clock sits at the limit with a later event
   // waiting.  Processes spawned there, dated in the past (clamped to the

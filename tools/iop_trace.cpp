@@ -1,8 +1,12 @@
 // iop-trace: run an application on a simulated cluster configuration with
-// tracing enabled, writing Figure-2-style per-process trace files.
+// tracing enabled, writing the run's trace as one `<app>.trace` file (the
+// iop-trace v2 container: every process's Figure-2 record stream plus the
+// file metadata).
 //
 //   iop-trace --app btio --class C --np 16 --config A --out traces/
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 
 #include "analysis/runner.hpp"
 #include "toolkit.hpp"
@@ -15,7 +19,7 @@ int main(int argc, char** argv) {
   util::Args args;
   tools::addConfigOptions(args, "configuration to trace on");
   args.addOption("np", "number of MPI processes", "16");
-  args.addOption("out", "output directory for the trace files", "traces");
+  args.addOption("out", "output directory for the trace file", "traces");
   tools::addAppOptions(args);
   tools::addObsOptions(args);
   try {
@@ -40,8 +44,9 @@ int main(int argc, char** argv) {
     obsSession.finish();
     std::printf("makespan: %.2f simulated seconds\n", run.makespanSeconds);
     std::printf("%s", trace::summarizeTrace(run.trace).render().c_str());
-    std::printf("wrote %d trace files + metadata to %s/\n", np,
-                args.get("out").c_str());
+    const auto path = trace::traceFilePath(args.get("out"), appName);
+    std::printf("wrote %s (%ju bytes)\n", path.string().c_str(),
+                static_cast<std::uintmax_t>(std::filesystem::file_size(path)));
     std::printf("next: iop-model --traces %s --app %s\n",
                 args.get("out").c_str(), appName.c_str());
     return 0;

@@ -15,7 +15,14 @@ endfunction()
 
 file(MAKE_DIRECTORY ${WORKDIR})
 
+file(REMOVE_RECURSE ${WORKDIR}/traces)
 run_step(${TRACE} --app btio --class A --np 4 --config A --out traces)
+# One trace file per run: the iop-trace v2 container, nothing per rank.
+file(GLOB trace_files RELATIVE ${WORKDIR}/traces ${WORKDIR}/traces/*)
+if(NOT trace_files STREQUAL "btio.trace")
+  message(FATAL_ERROR "iop-trace should write exactly traces/btio.trace, "
+                      "wrote: ${trace_files}")
+endif()
 run_step(${MODEL} --traces traces --app btio --out pipeline.model)
 string(FIND "${STEP_OUTPUT}" "idP*rs" found)
 if(found EQUAL -1)
