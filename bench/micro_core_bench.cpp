@@ -20,7 +20,8 @@ namespace {
 
 using namespace iop;
 
-std::vector<trace::Record> syntheticRun(int rank, int ops, bool interleaved) {
+std::vector<trace::Record> syntheticRun(int rank, int ops, bool interleaved,
+                                        std::uint64_t requestBytes = 1048576) {
   std::vector<trace::Record> records;
   std::uint64_t tick = 1;
   for (int i = 0; i < ops; ++i) {
@@ -32,7 +33,7 @@ std::vector<trace::Record> syntheticRun(int rank, int ops, bool interleaved) {
     r.offsetUnits = static_cast<std::uint64_t>(i / (interleaved ? 2 : 1)) *
                     1048576;
     r.tick = tick++;
-    r.requestBytes = 1048576;
+    r.requestBytes = requestBytes;
     r.time = 0.01 * i;
     r.duration = 0.005;
     records.push_back(std::move(r));
@@ -40,7 +41,10 @@ std::vector<trace::Record> syntheticRun(int rank, int ops, bool interleaved) {
   return records;
 }
 
-trace::TraceData syntheticTrace(int np, int opsPerRank) {
+/// np ranks of opsPerRank sequential 1 MiB writes; with distinctShapes
+/// each rank's request size differs from every other rank's.
+trace::TraceData syntheticTrace(int np, int opsPerRank,
+                                bool distinctShapes = false) {
   trace::TraceData data;
   data.appName = "synthetic";
   data.np = np;
@@ -50,7 +54,9 @@ trace::TraceData syntheticTrace(int np, int opsPerRank) {
   meta.np = np;
   data.files.push_back(meta);
   for (int r = 0; r < np; ++r) {
-    data.perRank.push_back(syntheticRun(r, opsPerRank, false));
+    data.perRank.push_back(syntheticRun(
+        r, opsPerRank, false,
+        1048576 + (distinctShapes ? static_cast<std::uint64_t>(r) * 4096 : 0)));
   }
   data.commEventsPerRank.assign(static_cast<std::size_t>(np), 0);
   return data;
@@ -93,6 +99,63 @@ void BM_PhaseDetection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 200);
 }
 BENCHMARK(BM_PhaseDetection)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_PhaseDetectionDistinctShapes(benchmark::State& state) {
+  // BM_PhaseDetection with a request size per rank: no two (rank, file)
+  // streams share a shape, so every stream is segmented on its own.
+  auto data = syntheticTrace(static_cast<int>(state.range(0)), 200, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::detectPhases(data));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * 200);
+}
+BENCHMARK(BM_PhaseDetectionDistinctShapes)->Arg(64);
+
+void BM_ModelRender(benchmark::State& state) {
+  // A BT-IO class A np=121 sized model: per rank 40 collective writes
+  // separated by solver communication (40 phases), then 40 back-to-back
+  // reads (one phase).
+  const int np = 121;
+  trace::TraceData data;
+  data.appName = "btio-like";
+  data.np = np;
+  trace::FileMeta meta;
+  meta.fileId = 1;
+  meta.path = "/scratch/btio.out";
+  meta.etypeBytes = 40;
+  meta.np = np;
+  data.files.push_back(meta);
+  data.perRank.resize(static_cast<std::size_t>(np));
+  data.commEventsPerRank.assign(static_cast<std::size_t>(np), 0);
+  for (int r = 0; r < np; ++r) {
+    std::uint64_t tick = 1;
+    for (int i = 0; i < 80; ++i) {
+      trace::Record rec;
+      rec.rank = r;
+      rec.fileId = 1;
+      rec.op = i < 40 ? "MPI_File_write_at_all" : "MPI_File_read_at_all";
+      rec.offsetUnits = static_cast<std::uint64_t>(i % 40) * 265302 * np +
+                        static_cast<std::uint64_t>(r) * 265302;
+      rec.tick = tick;
+      tick += i < 40 ? 121 : 1;
+      rec.requestBytes = 10612080;
+      rec.time = 0.05 * i + 0.001 * r;
+      rec.duration = 0.02 + 0.0001 * r;
+      data.perRank[static_cast<std::size_t>(r)].push_back(std::move(rec));
+    }
+  }
+  const auto model = core::extractModel(data);
+  if (model.phases().size() != 41) {
+    state.SkipWithError("expected a 41-phase model");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.renderText());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(model.renderText().size()));
+}
+BENCHMARK(BM_ModelRender);
 
 void BM_OffsetFit(benchmark::State& state) {
   const int np = static_cast<int>(state.range(0));

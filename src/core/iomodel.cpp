@@ -1,7 +1,6 @@
 #include "core/iomodel.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -123,57 +122,85 @@ std::string IOModel::renderGlobalPatternSeries(std::size_t maxPoints) const {
 }
 
 void IOModel::save(const std::filesystem::path& path) const {
+  const std::string text = renderText();
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open " + path.string());
-  write(out);
-  if (!out) throw std::runtime_error("model write failed");
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  // Closing flushes the buffer, so a full device often fails only here.
+  out.close();
+  if (!out) throw std::runtime_error("model write failed: " + path.string());
 }
 
 std::string IOModel::renderText() const {
-  std::ostringstream out;
-  write(out);
-  return out.str();
-}
-
-void IOModel::write(std::ostream& out) const {
-  out << "# iop-model v1\n";
-  out << "app " << appName_ << "\n";
-  out << "np " << np_ << "\n";
+  // Integers in decimal; phase times with nine decimals and
+  // offset-function coefficients with six, printf's %.9f and %.6f text in
+  // the C locale.  The model digests and sweep cache keys pin these bytes.
+  std::string out = "# iop-model v1\napp ";
+  const auto field = [&out](auto value, auto... format) {
+    out += ' ';
+    util::appendChars(out, value, format...);
+  };
+  const auto flag = [&field](bool set) { field(set ? 1 : 0); };
+  out += appName_;
+  out += "\nnp";
+  field(np_);
+  out += '\n';
   for (const auto& f : files_) {
-    out << "file " << f.fileId << ' ' << f.path << ' ' << (f.shared ? 1 : 0)
-        << ' ' << f.etypeBytes << ' ' << f.viewDisp << ' ' << f.filetypeBlock
-        << ' ' << f.filetypeStride << ' ' << (f.sawCollective ? 1 : 0) << ' '
-        << (f.sawExplicitOffsets ? 1 : 0) << ' '
-        << (f.sawIndividualPointers ? 1 : 0) << ' ' << f.np;
+    out += "file";
+    field(f.fileId);
+    out += ' ';
+    out += f.path;
+    flag(f.shared);
+    field(f.etypeBytes);
+    field(f.viewDisp);
+    field(f.filetypeBlock);
+    field(f.filetypeStride);
+    flag(f.sawCollective);
+    flag(f.sawExplicitOffsets);
+    flag(f.sawIndividualPointers);
+    field(f.np);
     // The 13th field appears only when set, so every blocking model keeps
     // its text and with it its digest and sweep cache key.
-    if (f.sawNonBlocking) out << " 1";
-    out << "\n";
+    if (f.sawNonBlocking) out += " 1";
+    out += '\n';
   }
-  char buf[512];
   for (const auto& p : phases_) {
-    std::snprintf(buf, sizeof buf,
-                  "phase %d %d %" PRIu64 " %d %d %" PRIu64 " %" PRIu64
-                  " %.9f %.9f %.9f %.9f %.9f %" PRIu64 "\n",
-                  p.id, p.idF, p.rep, p.familyId, p.familyIndex, p.firstTick,
-                  p.lastTick, p.startTime, p.endTime, p.sumIoDuration,
-                  p.maxRankIoDuration, p.ioUnionSeconds, p.weightBytes);
-    out << buf;
-    out << "ranks " << p.id;
-    for (int r : p.ranks) out << ' ' << r;
-    out << "\n";
+    out += "phase";
+    field(p.id);
+    field(p.idF);
+    field(p.rep);
+    field(p.familyId);
+    field(p.familyIndex);
+    field(p.firstTick);
+    field(p.lastTick);
+    for (const double seconds : {p.startTime, p.endTime, p.sumIoDuration,
+                                 p.maxRankIoDuration, p.ioUnionSeconds}) {
+      field(seconds, std::chars_format::fixed, 9);
+    }
+    field(p.weightBytes);
+    out += "\nranks";
+    field(p.id);
+    for (const int r : p.ranks) field(r);
+    out += '\n';
     for (std::size_t j = 0; j < p.ops.size(); ++j) {
       const auto& op = p.ops[j];
-      std::snprintf(buf, sizeof buf,
-                    "op %d %zu %s %" PRIu64 " %" PRId64 " %d %.6f %.6f %.6f",
-                    p.id, j, op.op.c_str(), op.rsBytes, op.dispBytes,
-                    op.offsetFn.exact ? 1 : 0, op.offsetFn.aBytes,
-                    op.offsetFn.bBytes, op.offsetFn.cBytes);
-      out << buf;
-      for (auto o : op.initOffsetBytes) out << ' ' << o;
-      out << "\n";
+      out += "op";
+      field(p.id);
+      field(j);
+      out += ' ';
+      out += op.op.c_str();  // stops at a NUL byte, as printf's %s does
+      field(op.rsBytes);
+      field(op.dispBytes);
+      flag(op.offsetFn.exact);
+      for (const double coefficient :
+           {op.offsetFn.aBytes, op.offsetFn.bBytes, op.offsetFn.cBytes}) {
+        field(coefficient, std::chars_format::fixed, 6);
+      }
+      for (const auto o : op.initOffsetBytes) field(o);
+      out += '\n';
     }
   }
+  return out;
 }
 
 IOModel IOModel::load(const std::filesystem::path& path) {

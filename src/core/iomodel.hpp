@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -60,14 +59,14 @@ class IOModel {
   ///   phase idP tick fileOffsetBytes requestBytes W|R
   std::string renderGlobalPatternSeries(std::size_t maxPoints = 0) const;
 
-  /// Persist / restore (text format, versioned).
+  /// Persist / restore (text format, versioned).  save() throws when the
+  /// file cannot be opened, written or closed.
   void save(const std::filesystem::path& path) const;
   static IOModel load(const std::filesystem::path& path);
 
-  /// The save() serialization, to a stream / as a string.  renderText() is
-  /// the model's canonical content identity: the sweep cache hashes it, so
-  /// two models with identical text are interchangeable.
-  void write(std::ostream& out) const;
+  /// The save() serialization.  It is the model's canonical content
+  /// identity: the sweep cache hashes it, so two models with identical
+  /// text are interchangeable.
   std::string renderText() const;
 
  private:

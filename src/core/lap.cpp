@@ -4,16 +4,18 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
+#include "core/phase.hpp"
 #include "util/table.hpp"
 
 namespace iop::core {
 
 namespace {
-
-using RecordView = std::span<const trace::Record* const>;
 
 const trace::Record& deref(const trace::Record& r) { return r; }
 const trace::Record& deref(const trace::Record* r) { return *r; }
@@ -153,52 +155,146 @@ Segment makeSegment(RecordView r, std::size_t i, std::size_t k,
   }
   seg.rep = c;
   const auto reps = static_cast<std::size_t>(c);
-  seg.repFirstTicks.reserve(reps);
-  seg.repLastTicks.reserve(reps);
-  seg.repStartTimes.reserve(reps);
-  seg.repEndTimes.reserve(reps);
-  seg.repIoDurations.reserve(reps);
-  seg.opWindows.reserve(reps * k);
+  seg.repFirstTicks.resize(reps);
+  seg.repLastTicks.resize(reps);
+  seg.repStartTimes.resize(reps);
+  seg.repEndTimes.resize(reps);
+  seg.repIoDurations.resize(reps);
+  seg.opWindows.resize(reps * k);
   for (std::size_t m = 0; m < reps; ++m) {
     const trace::Record& first = *r[i + m * k];
     const trace::Record& last = *r[i + m * k + k - 1];
-    seg.repFirstTicks.push_back(first.tick);
-    seg.repLastTicks.push_back(last.tick);
-    seg.repStartTimes.push_back(first.time);
-    seg.repEndTimes.push_back(last.time + last.duration);
+    seg.repFirstTicks[m] = first.tick;
+    seg.repLastTicks[m] = last.tick;
+    seg.repStartTimes[m] = first.time;
+    seg.repEndTimes[m] = last.time + last.duration;
     double io = 0;
-    for (std::size_t p = i + m * k; p < i + m * k + k; ++p) {
-      io += r[p]->duration;
-      seg.opWindows.emplace_back(r[p]->time, r[p]->time + r[p]->duration);
+    for (std::size_t j = 0; j < k; ++j) {
+      const trace::Record& op = *r[i + m * k + j];
+      io += op.duration;
+      seg.opWindows[m * k + j] = {op.time, op.time + op.duration};
     }
-    seg.repIoDurations.push_back(io);
+    seg.repIoDurations[m] = io;
   }
   return seg;
 }
 
-std::vector<Segment> segmentGreedy(RecordView r, const CycleRuns& runs,
-                                   std::size_t maxCycle) {
-  std::vector<Segment> out;
+void appendSegments(RecordView records, const std::vector<Cut>& cuts,
+                    std::vector<Segment>& out) {
+  requireHomogeneous(records);
   std::size_t i = 0;
+  for (const Cut& cut : cuts) {
+    if (cut.k == 0 || cut.c == 0 || cut.c > (records.size() - i) / cut.k) {
+      throw std::invalid_argument("cuts must tile the records");
+    }
+    out.push_back(makeSegment(records, i, cut.k, cut.c));
+    i += cut.k * static_cast<std::size_t>(cut.c);
+  }
+  if (i != records.size()) {
+    throw std::invalid_argument("cuts must tile the records");
+  }
+}
+
+/// Dense ids for op names in order of first appearance, so scans and
+/// shape hashes compare integers instead of strings.  A trace uses a
+/// handful of names, found by a short scan without hashing; the map
+/// bounds the cost of a hostile trace with many.  Entries point to the
+/// records' own strings, which outlive the table.
+class OpIds {
+ public:
+  std::uint32_t operator()(const std::string& op) {
+    for (std::size_t i = 0; i < few_.size(); ++i) {
+      if (*few_[i] == op) return static_cast<std::uint32_t>(i);
+    }
+    if (few_.size() < kFew) {
+      few_.push_back(&op);
+      return static_cast<std::uint32_t>(few_.size() - 1);
+    }
+    return many_
+        .try_emplace(op, static_cast<std::uint32_t>(kFew + many_.size()))
+        .first->second;
+  }
+
+ private:
+  static constexpr std::size_t kFew = 8;
+  std::vector<const std::string*> few_;
+  std::unordered_map<std::string_view, std::uint32_t> many_;
+};
+
+/// Greedy segmentation for streams above dpLimit: at each start take the
+/// cycle with the longest coverage (then the shortest cycle), counting
+/// its repetitions by a forward scan.  The scan from `i` with cycle `k`
+/// stops at the first record whose (op, size) differs from the one k back
+/// or, from the third repetition on, whose delta to the record k back
+/// differs from that record's own — the conditions CycleRuns tabulates.
+/// Each scan stops within k records of the coverage the start picks, so
+/// the whole pass costs O(maxCycle * n) with no per-record table.
+std::vector<Cut> greedyCuts(RecordView r, std::size_t maxCycle) {
   const std::size_t n = r.size();
-  while (i < n) {
-    std::size_t bestK = 1;
-    std::uint64_t bestC = 1;
+  std::vector<std::uint32_t> ops(n);
+  OpIds opIds;
+  for (std::size_t q = 0; q < n; ++q) ops[q] = opIds(r[q]->op);
+  const auto repeats = [&](std::size_t i, std::size_t k) {
+    std::size_t q = i + k;
+    while (q < n && ops[q] == ops[q - k] &&
+           r[q]->requestBytes == r[q - k]->requestBytes &&
+           (q < i + 2 * k || offsetDelta(*r[q], *r[q - k]) ==
+                                 offsetDelta(*r[q - k], *r[q - 2 * k]))) {
+      ++q;
+    }
+    return static_cast<std::uint64_t>(1 + (q - i - k) / k);
+  };
+  std::vector<Cut> cuts;
+  for (std::size_t i = 0; i < n;) {
+    Cut best;
     std::uint64_t bestCoverage = 1;
     for (std::size_t k = 1; k <= maxCycle && i + k <= n; ++k) {
-      const std::uint64_t c = runs.maxCycles(i, k);
+      const std::uint64_t c = repeats(i, k);
       if (k > 1 && c < 2) continue;
-      const std::uint64_t coverage = c * k;
-      if (coverage > bestCoverage) {
-        bestCoverage = coverage;
-        bestK = k;
-        bestC = c;
+      if (c * k > bestCoverage) {
+        bestCoverage = c * k;
+        best = Cut{k, c};
       }
     }
-    out.push_back(makeSegment(r, i, bestK, bestC));
+    cuts.push_back(best);
     i += static_cast<std::size_t>(bestCoverage);
   }
-  return out;
+  return cuts;
+}
+
+/// Hash of a view's shape: its length and, per record, the op id, the
+/// request size and the offset delta to the previous record.  Leaves the
+/// op ids in `ops`.
+std::uint64_t shapeHash(RecordView r, OpIds& opIds,
+                        std::vector<std::uint32_t>& ops) {
+  ops.resize(r.size());
+  std::uint64_t h = r.size();
+  std::uint64_t prevOffset = r.empty() ? 0 : r[0]->offsetUnits;
+  for (std::size_t q = 0; q < r.size(); ++q) {
+    ops[q] = opIds(r[q]->op);
+    const std::uint64_t v = ops[q] +
+                            r[q]->requestBytes * 0xff51afd7ed558ccdULL +
+                            (r[q]->offsetUnits - prevOffset) *
+                                0xc4ceb9fe1a85ec53ULL;
+    prevOffset = r[q]->offsetUnits;
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+  }
+  return h ^ (h >> 32);
+}
+
+/// Whether views `a` and `b`, with op ids `aOps` and `bOps`, have one
+/// shape.
+bool sameShape(RecordView a, const std::vector<std::uint32_t>& aOps,
+               RecordView b, const std::vector<std::uint32_t>& bOps) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    if (aOps[q] != bOps[q] || a[q]->requestBytes != b[q]->requestBytes ||
+        (q > 0 && a[q]->offsetUnits - a[q - 1]->offsetUnits !=
+                      b[q]->offsetUnits - b[q - 1]->offsetUnits)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -214,15 +310,27 @@ std::vector<Segment> segmentRecords(const std::vector<trace::Record>& records,
 std::vector<Segment> segmentRecordView(RecordView records,
                                        const SegmentOptions& options) {
   IOP_PROFILE_SCOPE("lap.segment");
-  requireHomogeneous(records);
+  return makeSegments(records, segmentCuts(records, options));
+}
+
+std::vector<Segment> makeSegments(RecordView records,
+                                  const std::vector<Cut>& cuts) {
+  std::vector<Segment> out;
+  out.reserve(cuts.size());
+  appendSegments(records, cuts, out);
+  return out;
+}
+
+std::vector<Cut> segmentCuts(RecordView records,
+                             const SegmentOptions& options) {
   if (options.maxCycle < 1) {
     throw std::invalid_argument("maxCycle must be >= 1");
   }
   const std::size_t n = records.size();
   if (n == 0) return {};
   const auto maxCycle = static_cast<std::size_t>(options.maxCycle);
+  if (n > options.dpLimit) return greedyCuts(records, maxCycle);
   const CycleRuns runs(records, maxCycle);
-  if (n > options.dpLimit) return segmentGreedy(records, runs, maxCycle);
 
   // DP over suffixes: minimize segment count, tie-break on maximal
   // sum-of-squared segment lengths (prefers long cycles — e.g. the paper's
@@ -255,14 +363,67 @@ std::vector<Segment> segmentRecordView(RecordView records,
     }
   }
 
-  std::vector<Segment> out;
-  std::size_t i = 0;
-  while (i < n) {
+  std::vector<Cut> cuts;
+  for (std::size_t i = 0; i < n;) {
     const Best& b = best[i];
-    out.push_back(makeSegment(records, i, b.k, b.c));
+    cuts.push_back(Cut{b.k, b.c});
     i += static_cast<std::size_t>(b.c) * b.k;
   }
-  return out;
+  return cuts;
+}
+
+std::vector<Segment> segmentTrace(const trace::TraceData& data,
+                                  const PhaseDetectionOptions& options) {
+  IOP_PROFILE_SCOPE("lap.segment");
+  /// The first view met with a shape hash — its record pointers into
+  /// `data` and its op ids — and its cuts.
+  struct Shape {
+    std::vector<const trace::Record*> view;
+    std::vector<std::uint32_t> ops;
+    std::vector<Cut> cuts;
+  };
+  std::unordered_map<std::uint64_t, Shape> shapes;
+  OpIds opIds;
+  std::vector<std::uint32_t> ops;
+  std::vector<Segment> segments;
+  std::vector<const trace::Record*> rankRecords;
+  const auto byFile = [](const trace::Record* a, const trace::Record* b) {
+    return a->fileId < b->fileId;
+  };
+  for (int rank = 0; rank < data.np; ++rank) {
+    rankRecords.clear();
+    for (const auto& r : data.perRank[static_cast<std::size_t>(rank)]) {
+      if (r.requestBytes >= options.ignoreOpsSmallerThan) {
+        rankRecords.push_back(&r);
+      }
+    }
+    // One view per file, in file-id order, records in stream order.
+    if (!std::is_sorted(rankRecords.begin(), rankRecords.end(), byFile)) {
+      std::stable_sort(rankRecords.begin(), rankRecords.end(), byFile);
+    }
+    for (auto begin = rankRecords.begin(); begin != rankRecords.end();) {
+      const auto end = std::upper_bound(begin, rankRecords.end(), *begin,
+                                        byFile);
+      const RecordView view(std::to_address(begin),
+                            static_cast<std::size_t>(end - begin));
+      const auto [it, fresh] =
+          shapes.try_emplace(shapeHash(view, opIds, ops));
+      Shape& shape = it->second;
+      if (fresh) {
+        shape.view.assign(begin, end);
+        shape.ops = ops;
+        shape.cuts = segmentCuts(view, options.segmentation);
+        appendSegments(view, shape.cuts, segments);
+      } else if (sameShape(view, ops, shape.view, shape.ops)) {
+        appendSegments(view, shape.cuts, segments);
+      } else {  // a hash collision: segment this view on its own
+        appendSegments(view, segmentCuts(view, options.segmentation),
+                       segments);
+      }
+      begin = end;
+    }
+  }
+  return segments;
 }
 
 std::string renderLapTable(const std::vector<Lap>& laps) {

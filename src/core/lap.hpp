@@ -12,6 +12,15 @@
 //    repeating cycles of up to K distinct operations, so interleaved
 //    patterns like MADbench2's read/write pipeline in its W function
 //    compress to one multi-op segment instead of 2N single-op fragments.
+//
+// Segmentation runs in two steps.  segmentCuts chooses where segments end
+// from each record's (op, request size, offset - previous offset) alone —
+// the stream's *shape*; makeSegments fills in the rest (initial offsets,
+// ticks, times, durations) from the records.  The ranks of an SPMD run
+// usually differ only in their initial offsets (the paper's "similar ...
+// except initialOffset") and so share one shape: segmentTrace chooses the
+// cuts once per distinct shape of a trace and reuses them for every rank
+// with that shape.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +32,8 @@
 #include "trace/tracer.hpp"
 
 namespace iop::core {
+
+struct PhaseDetectionOptions;  // core/phase.hpp
 
 /// One Figure-3 row: a repeated single-operation access pattern local to a
 /// process.  Offsets/displacements are in the trace's offset units (etypes
@@ -83,15 +94,43 @@ struct SegmentOptions {
   std::size_t dpLimit = 4000;
 };
 
+/// Where one segment ends: `c` repetitions of a `k`-record cycle, so it
+/// covers `k * c` records.
+struct Cut {
+  std::size_t k = 1;
+  std::uint64_t c = 1;
+};
+
+using RecordView = std::span<const trace::Record* const>;
+
 /// Segment one rank's records of one file into repeated cycles.
 std::vector<Segment> segmentRecords(const std::vector<trace::Record>& records,
                                     const SegmentOptions& options = {});
 
 /// segmentRecords over a view of records held elsewhere (e.g. one file's
-/// slice of a rank's multi-file stream), so callers need not copy them.
-std::vector<Segment> segmentRecordView(
-    std::span<const trace::Record* const> records,
-    const SegmentOptions& options = {});
+/// slice of a rank's multi-file stream), so callers need not copy them:
+/// makeSegments(records, segmentCuts(records, options)).
+std::vector<Segment> segmentRecordView(RecordView records,
+                                       const SegmentOptions& options = {});
+
+/// The segmentation's cuts, front to back.  They depend only on each
+/// record's op, request size and offset delta to the previous record, so
+/// two views with equal such sequences get equal cuts.
+std::vector<Cut> segmentCuts(RecordView records,
+                             const SegmentOptions& options = {});
+
+/// The segments `cuts` (from segmentCuts) make of `records`.  Throws
+/// std::invalid_argument unless the records belong to one (rank, file)
+/// and the cuts cover them exactly.
+std::vector<Segment> makeSegments(RecordView records,
+                                  const std::vector<Cut>& cuts);
+
+/// Step 1 of detectPhases: the segments of every (rank, file) view of
+/// `data` — ranks in order, a rank's files in id order, records smaller
+/// than options.ignoreOpsSmallerThan dropped — with segmentCuts run once
+/// per distinct view shape, not once per view.
+std::vector<Segment> segmentTrace(const trace::TraceData& data,
+                                  const PhaseDetectionOptions& options);
 
 /// Render LAPs as the paper's Figure-3 table.
 std::string renderLapTable(const std::vector<Lap>& laps);

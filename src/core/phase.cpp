@@ -3,12 +3,11 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <limits>
 #include <map>
-#include <numeric>
 #include <span>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 
 #include "util/table.hpp"
 #include "util/text.hpp"
@@ -25,8 +24,6 @@ struct LocalPhase {
   const Segment* seg = nullptr;
   std::uint64_t repBegin = 0;
   std::uint64_t repEnd = 0;
-  std::size_t signature = 0;   ///< signature id, then its rank (steps 2-3)
-  std::size_t occurrence = 0;  ///< n-th of this rank's (file, signature)
 
   int idP() const { return seg->idP; }
   int idF() const { return seg->idF; }
@@ -132,86 +129,70 @@ std::string Phase::opTypeLabel() const {
 std::vector<Phase> detectPhases(const trace::TraceData& data,
                                 const PhaseDetectionOptions& options) {
   IOP_PROFILE_SCOPE("phase.group");
-  // 1. Per (rank, file): segment, then tick-split into local phases.
-  // Locals come out rank-major, file- then tick-ordered within a rank.
-  std::vector<Segment> segments;
-  for (int rank = 0; rank < data.np; ++rank) {
-    const auto& records = data.perRank[static_cast<std::size_t>(rank)];
-    // Partition this rank's records by file, preserving order; drop
-    // metadata noise when a threshold is configured.
-    std::map<int, std::vector<const trace::Record*>> byFile;
-    for (const auto& r : records) {
-      if (r.requestBytes < options.ignoreOpsSmallerThan) continue;
-      byFile[r.fileId].push_back(&r);
-    }
-    for (const auto& [fileId, fileRecords] : byFile) {
-      auto segs = segmentRecordView(fileRecords, options.segmentation);
-      std::move(segs.begin(), segs.end(), std::back_inserter(segments));
-    }
-  }
+  // 1. Segment every (rank, file) view, then tick-split into local
+  // phases.  Locals come out rank-major, file- then tick-ordered within a
+  // rank.
+  const std::vector<Segment> segments = segmentTrace(data, options);
   std::vector<LocalPhase> locals;
   for (const auto& seg : segments) {
     splitSegment(seg, options.maxIntraPhaseTickGap, locals);
   }
 
-  // 2. Intern signature texts; a signature's id becomes its rank in text
-  // order, so (file, signature, occurrence) keys compare as integers.
-  std::map<std::string, std::size_t> textIds;
-  {
-    std::string text;
-    for (auto& lp : locals) {
-      text.clear();
-      appendSignature(text, lp.seg->ops, lp.rep());
-      auto it = textIds.find(text);
-      if (it == textIds.end()) {
-        it = textIds.emplace(text, textIds.size()).first;
-      }
-      lp.signature = it->second;
-    }
-  }
-  std::vector<std::size_t> textRank(textIds.size());
-  {
-    std::size_t rank = 0;
-    for (const auto& entry : textIds) textRank[entry.second] = rank++;
-  }
-
-  // 3. Assign per-rank occurrence counters so the k-th local phase with a
-  // given (file, signature) groups with the other ranks' k-th occurrence.
-  std::map<std::pair<int, std::size_t>, std::size_t> occurrenceCounter;
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    auto& lp = locals[i];
-    if (i > 0 && lp.idP() != locals[i - 1].idP()) occurrenceCounter.clear();
-    lp.signature = textRank[lp.signature];
-    lp.occurrence = occurrenceCounter[{lp.idF(), lp.signature}]++;
-  }
-
-  // 4. Group by (file, signature, occurrence), members in tick order.
-  // Temporal validation: members of one phase must overlap in logical time
-  // (the paper's traces show +-1 tick of skew).  If a group's members
-  // cluster at distant ticks — ranks executing the same pattern at truly
-  // different times — split it into tick clusters separated by more than
-  // the tolerance.  A rank has at most one member per group, so idP
-  // completes a total order.
-  auto groupKey = [&locals](std::size_t i) {
-    const LocalPhase& lp = locals[i];
-    return std::make_tuple(lp.idF(), lp.signature, lp.occurrence);
+  // 2. Bucket locals by (file, signature, occurrence): the k-th local
+  // phase of a rank with a given (file, signature) groups with the other
+  // ranks' k-th occurrence.  Each (file, signature) stream keeps one
+  // bucket of local indices per occurrence; locals arrive rank-major and a
+  // rank has at most one member per bucket, so each bucket fills in rank
+  // order.  A rank's occurrence counts restart whenever the rank changes
+  // from one local to the next.  Streams are keyed by (file, signature
+  // text), so iterating the map visits the groups in key order.  Locals of
+  // one segment with equal rep share their text, so only a change of
+  // segment or rep builds it anew.
+  struct Stream {
+    std::size_t epoch = std::numeric_limits<std::size_t>::max();
+    std::size_t seen = 0;  ///< this epoch's occurrences so far
+    std::vector<std::vector<std::size_t>> buckets;
   };
-  std::vector<std::size_t> order(locals.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return std::tuple_cat(groupKey(a), std::make_tuple(locals[a].firstTick(),
-                                                       locals[a].idP())) <
-           std::tuple_cat(groupKey(b), std::make_tuple(locals[b].firstTick(),
-                                                       locals[b].idP()));
-  });
+  std::map<std::pair<int, std::string>, Stream> streams;
+  Stream* stream = nullptr;
+  std::size_t epoch = 0;  ///< bumps when the rank changes between locals
+  for (std::size_t i = 0; i < locals.size(); ++i) {
+    const LocalPhase& lp = locals[i];
+    if (i > 0 && lp.idP() != locals[i - 1].idP()) ++epoch;
+    if (i == 0 || lp.seg != locals[i - 1].seg ||
+        lp.rep() != locals[i - 1].rep()) {
+      std::pair<int, std::string> key(lp.idF(), std::string());
+      appendSignature(key.second, lp.seg->ops, lp.rep());
+      stream = &streams[std::move(key)];
+    }
+    Stream& s = *stream;
+    if (s.epoch != epoch) {
+      s.epoch = epoch;
+      s.seen = 0;
+    }
+    if (s.seen == s.buckets.size()) s.buckets.emplace_back();
+    s.buckets[s.seen++].push_back(i);
+  }
 
-  // 5. Build global phases, one per tick cluster, members in rank order.
+  // 3. Order each bucket by (first tick, local index), i.e. by first tick
+  // and then rank; a bucket whose ranks start together is in that order
+  // already.  Temporal validation: members of one phase must overlap in
+  // logical time (the paper's traces show +-1 tick of skew).  If a
+  // bucket's members cluster at distant ticks — ranks executing the same
+  // pattern at truly different times — it splits into tick clusters
+  // separated by more than the tolerance.
+  const auto tickOrder = [&locals](std::size_t a, std::size_t b) {
+    return std::pair(locals[a].firstTick(), a) <
+           std::pair(locals[b].firstTick(), b);
+  };
+  // 4. Build global phases, one per tick cluster, members in rank order.
   std::vector<Phase> phases;
   std::vector<std::pair<double, double>> windows;
   auto buildPhase = [&](std::span<std::size_t> members) {
     std::sort(members.begin(), members.end(),
               [&locals](std::size_t a, std::size_t b) {
-                return locals[a].idP() < locals[b].idP();
+                return std::pair(locals[a].idP(), a) <
+                       std::pair(locals[b].idP(), b);
               });
     const LocalPhase& first = locals[members.front()];
     Phase phase;
@@ -265,25 +246,32 @@ std::vector<Phase> detectPhases(const trace::TraceData& data,
                         phase.rep * cycleBytes;
     phases.push_back(std::move(phase));
   };
-  std::size_t clusterBegin = 0;
-  for (std::size_t i = 1; i <= order.size(); ++i) {
-    if (i < order.size() && groupKey(order[i]) == groupKey(order[i - 1]) &&
-        locals[order[i]].firstTick() - locals[order[i - 1]].firstTick() <=
-            options.crossRankTickTolerance) {
-      continue;
+  for (auto& entry : streams) {
+    for (auto& bucket : entry.second.buckets) {
+      if (!std::is_sorted(bucket.begin(), bucket.end(), tickOrder)) {
+        std::sort(bucket.begin(), bucket.end(), tickOrder);
+      }
+      std::size_t clusterBegin = 0;
+      for (std::size_t i = 1; i <= bucket.size(); ++i) {
+        if (i < bucket.size() &&
+            locals[bucket[i]].firstTick() - locals[bucket[i - 1]].firstTick() <=
+                options.crossRankTickTolerance) {
+          continue;
+        }
+        buildPhase(std::span(bucket).subspan(clusterBegin, i - clusterBegin));
+        clusterBegin = i;
+      }
     }
-    buildPhase(std::span(order).subspan(clusterBegin, i - clusterBegin));
-    clusterBegin = i;
   }
 
-  // 6. Order by first tick (stable on weight/file for determinism).
+  // 5. Order by first tick (stable on weight/file for determinism).
   std::sort(phases.begin(), phases.end(), [](const Phase& a, const Phase& b) {
     if (a.firstTick != b.firstTick) return a.firstTick < b.firstTick;
     if (a.idF != b.idF) return a.idF < b.idF;
     return a.weightBytes > b.weightBytes;
   });
 
-  // 7. Assign ids, then families and offset functions.  Families group
+  // 6. Assign ids, then families and offset functions.  Families group
   // consecutive same-signature phases *of the same file*, so interleaved
   // multi-file timelines (e.g. a restart record between history records)
   // do not break a file's progression.

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <random>
+#include <sstream>
 
 #include "core/compare.hpp"
 #include "core/iomodel.hpp"
@@ -185,6 +188,26 @@ TEST(Segment, GreedyFallbackMatchesDpOnSimpleRuns) {
   EXPECT_EQ(greedy[0].rep, dp[0].rep);
 }
 
+TEST(Segment, MakeSegmentsRejectsCutsThatDoNotTileTheRecords) {
+  std::vector<Record> recs;
+  for (int i = 0; i < 6; ++i) {
+    recs.push_back(mkRec(0, 1, "MPI_File_write", i * 32, 1 + i, 32));
+  }
+  std::vector<const Record*> view;
+  for (const auto& r : recs) view.push_back(&r);
+  EXPECT_EQ(makeSegments(view, {Cut{2, 3}}).size(), 1u);
+  EXPECT_EQ(makeSegments(view, segmentCuts(view)).front().rep, 6u);
+  for (const auto& cuts : std::vector<std::vector<Cut>>{
+           {Cut{2, 2}},                 // too short
+           {Cut{2, 2}, Cut{3, 1}},      // too long
+           {Cut{0, 1}, Cut{6, 1}},      // empty cycle
+           {Cut{1, 0}, Cut{6, 1}},      // no repetitions
+           {Cut{2, ~std::uint64_t{0}}}  // k * c overflows
+       }) {
+    EXPECT_THROW(makeSegments(view, cuts), std::invalid_argument);
+  }
+}
+
 TEST(Segment, TimesAndDurationsAggregatedPerRep) {
   std::vector<Record> recs;
   recs.push_back(mkRec(0, 1, "MPI_File_read", 0, 1, 32, 10.0, 0.5));
@@ -284,8 +307,10 @@ Cuts referenceSegmentation(const std::vector<Record>& r,
 }
 
 /// One rank's stream over a small (op, rs) alphabet: periodic cycles of
-/// length 1..6, some with per-record offset perturbations, mixed with
-/// stretches of random records and random offsets.
+/// length 1..6 repeated up to 64 times, some with per-record offset
+/// perturbations, mixed with stretches of random records and random
+/// offsets.  Long runs give the DP long transitions and the dpLimit-8
+/// runs long greedy streams.
 std::vector<Record> randomStream(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   auto below = [&rng](std::uint64_t n) { return rng() % n; };
@@ -300,7 +325,7 @@ std::vector<Record> randomStream(std::uint64_t seed) {
     for (std::size_t j = 0; j < k; ++j) {
       cycle.emplace_back(static_cast<int>(below(2)), 1 + below(2));
     }
-    const std::uint64_t reps = 1 + below(8);
+    const std::uint64_t reps = 1 + below(below(4) == 0 ? 64 : 8);
     const std::uint64_t start = below(4) * 64;
     const std::uint64_t disp = below(3) * 8;
     for (std::uint64_t m = 0; m < reps; ++m) {
@@ -741,6 +766,140 @@ TEST(Model, TotalWeightEqualsTraceBytes) {
   auto data = madbenchTrace(8, MiB);
   auto model = extractModel(data);
   EXPECT_EQ(model.totalWeightBytes(), data.totalBytes());
+}
+
+/// The model text as printf and ostream produce it: the format
+/// renderText must keep byte for byte, because the model digests and the
+/// sweep's model-cache keys hash it.
+std::string printfModelText(const IOModel& m) {
+  std::ostringstream out;
+  out << "# iop-model v1\n";
+  out << "app " << m.appName() << "\n";
+  out << "np " << m.np() << "\n";
+  for (const auto& f : m.files()) {
+    out << "file " << f.fileId << ' ' << f.path << ' ' << (f.shared ? 1 : 0)
+        << ' ' << f.etypeBytes << ' ' << f.viewDisp << ' ' << f.filetypeBlock
+        << ' ' << f.filetypeStride << ' ' << (f.sawCollective ? 1 : 0) << ' '
+        << (f.sawExplicitOffsets ? 1 : 0) << ' '
+        << (f.sawIndividualPointers ? 1 : 0) << ' ' << f.np;
+    if (f.sawNonBlocking) out << " 1";
+    out << "\n";
+  }
+  char buf[512];
+  for (const auto& p : m.phases()) {
+    const int phaseLen = std::snprintf(
+        buf, sizeof buf,
+        "phase %d %d %" PRIu64 " %d %d %" PRIu64 " %" PRIu64
+        " %.9f %.9f %.9f %.9f %.9f %" PRIu64 "\n",
+        p.id, p.idF, p.rep, p.familyId, p.familyIndex, p.firstTick,
+        p.lastTick, p.startTime, p.endTime, p.sumIoDuration,
+        p.maxRankIoDuration, p.ioUnionSeconds, p.weightBytes);
+    EXPECT_LT(phaseLen, static_cast<int>(sizeof buf)) << "line cut";
+    out << buf;
+    out << "ranks " << p.id;
+    for (int r : p.ranks) out << ' ' << r;
+    out << "\n";
+    for (std::size_t j = 0; j < p.ops.size(); ++j) {
+      const auto& op = p.ops[j];
+      const int opLen = std::snprintf(
+          buf, sizeof buf,
+          "op %d %zu %s %" PRIu64 " %" PRId64 " %d %.6f %.6f %.6f", p.id, j,
+          op.op.c_str(), op.rsBytes, op.dispBytes, op.offsetFn.exact ? 1 : 0,
+          op.offsetFn.aBytes, op.offsetFn.bBytes, op.offsetFn.cBytes);
+      EXPECT_LT(opLen, static_cast<int>(sizeof buf)) << "line cut";
+      out << buf;
+      for (auto o : op.initOffsetBytes) out << ' ' << o;
+      out << "\n";
+    }
+  }
+  return out.str();
+}
+
+TEST(Model, TextMatchesPrintfFormatting) {
+  // Every double shape in every time and coefficient field: signed zero,
+  // NaN of both signs, infinities, large magnitudes, and values that round
+  // up (with carries) at the ninth or the sixth decimal.  Each line holds
+  // a window of five (or three) consecutive values, so DBL_MAX's
+  // 309-digit text shares a line with no other and fits the reference's
+  // 512-byte buffer.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      0.0, -0.0, nan, -nan, inf, -inf, 1e17, -1e17, 0.9999999996,
+      2.0000000006, -7.0000000005, 123456.123456789, 5e-10,
+      std::numeric_limits<double>::max(), 0.9999996, 0.4999996, -2.5000005,
+      1.5e-7, 1e-300, 0.1, 0.2, 0.3};
+  std::vector<trace::FileMeta> files(2);
+  files[0].fileId = std::numeric_limits<int>::min();
+  files[0].path = "a.dat";
+  files[0].etypeBytes = std::numeric_limits<std::uint64_t>::max();
+  files[0].viewDisp = 12345;
+  files[0].sawCollective = true;
+  files[0].sawNonBlocking = true;
+  files[0].np = 3;
+  files[1].fileId = 7;
+  files[1].path = "b.dat";
+  files[1].shared = false;
+  files[1].sawExplicitOffsets = true;
+  files[1].sawIndividualPointers = true;
+  files[1].np = std::numeric_limits<int>::max();
+  std::vector<Phase> phases;
+  const std::size_t n = values.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    Phase p;
+    p.id = static_cast<int>(i) + 1;
+    p.idF = i % 2 == 0 ? 7 : std::numeric_limits<int>::min();
+    p.rep = i == 0 ? std::numeric_limits<std::uint64_t>::max() : i;
+    p.familyId =
+        i == 1 ? std::numeric_limits<int>::min() : static_cast<int>(i / 3);
+    p.familyIndex =
+        i == 2 ? std::numeric_limits<int>::max() : static_cast<int>(i % 3);
+    p.firstTick = i;
+    p.lastTick = std::numeric_limits<std::uint64_t>::max() - i;
+    p.startTime = values[i];
+    p.endTime = values[(i + 1) % n];
+    p.sumIoDuration = values[(i + 2) % n];
+    p.maxRankIoDuration = values[(i + 3) % n];
+    p.ioUnionSeconds = values[(i + 4) % n];
+    p.weightBytes = std::numeric_limits<std::uint64_t>::max() / (i + 1);
+    p.ranks = {0, static_cast<int>(i), std::numeric_limits<int>::max()};
+    for (std::size_t j = 0; j < 1 + i % 3; ++j) {
+      PhaseOp op;
+      op.op = j % 2 == 0 ? "MPI_File_write_at_all" : "MPI_File_read";
+      op.rsBytes =
+          i == 3 ? std::numeric_limits<std::uint64_t>::max() : 4096 * i;
+      op.dispBytes = i == 4 ? std::numeric_limits<std::int64_t>::min()
+                            : -static_cast<std::int64_t>(i * j);
+      op.offsetFn.exact = (i + j) % 2 == 0;
+      op.offsetFn.aBytes = values[(i + j) % n];
+      op.offsetFn.bBytes = values[(i + j + 1) % n];
+      op.offsetFn.cBytes = values[(i + j + 2) % n];
+      op.initOffsetBytes = {i, std::numeric_limits<std::uint64_t>::max(), 0};
+      p.ops.push_back(std::move(op));
+    }
+    phases.push_back(std::move(p));
+  }
+  const IOModel model("printf-app", 3, files, phases);
+  const std::string text = model.renderText();
+  EXPECT_EQ(text, printfModelText(model));
+
+  const auto path =
+      std::filesystem::temp_directory_path() / "iop_model_printf.model";
+  model.save(path);
+  const auto loaded = IOModel::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.renderText(), text);
+}
+
+TEST(Model, SaveReportsAFailedWrite) {
+  // /dev/full accepts the open and the buffered write; the write fails
+  // with ENOSPC only when the buffer is flushed, at close.
+  std::error_code ec;
+  if (!std::filesystem::is_character_file("/dev/full", ec)) {
+    GTEST_SKIP() << "/dev/full is not a character device here";
+  }
+  const auto model = extractModel(madbenchTrace(4, MiB));
+  EXPECT_THROW(model.save("/dev/full"), std::runtime_error);
 }
 
 TEST(Model, SaveLoadRoundTrip) {

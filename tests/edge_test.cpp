@@ -374,8 +374,13 @@ TEST(ModelEdge, LoadRejectsMissingAndMalformedFiles) {
 /// (path:line) and carrying `why`.
 void expectModelLoadError(const std::string& text, const std::string& where,
                           const std::string& why) {
+  // One file per test: ctest runs the tests that call this in parallel
+  // processes, which must not overwrite each other's model.
   const auto path =
-      std::filesystem::temp_directory_path() / "iop_edge_hostile.model";
+      std::filesystem::temp_directory_path() /
+      (std::string("iop_edge_hostile_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+       ".model");
   {
     std::ofstream out(path);
     out << text;

@@ -10,6 +10,8 @@
 //  * Determinism: identical seeds give identical simulations.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <set>
 
 #include "analysis/runner.hpp"
@@ -17,6 +19,8 @@
 #include "apps/registry.hpp"
 #include "configs/configs.hpp"
 #include "core/iomodel.hpp"
+#include "core/lap.hpp"
+#include "core/phase.hpp"
 #include "ior/ior.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -327,10 +331,10 @@ trace::TraceData perturbedTrace(std::uint64_t seed) {
   return data;
 }
 
-TEST(ModelDigest, RegistryAppsAtSmallNp) {
-  // Every registry application, traced at np=4 on configuration A with
-  // parameters small enough for the sanitizer flavors.
-  const std::vector<std::pair<std::string, apps::AppParams>> cases = {
+/// Every registry application, traced at np=4 on configuration A with
+/// parameters small enough for the sanitizer flavors.
+std::vector<std::pair<std::string, apps::AppParams>> registryCasesAtSmallNp() {
+  return {
       {"btio", {{"class", "A"}}},
       {"btio", {{"class", "A"}, {"subtype", "simple"}}},
       {"madbench2", {{"kpix", "2"}}},
@@ -338,9 +342,12 @@ TEST(ModelDigest, RegistryAppsAtSmallNp) {
       {"flash-io", {{"unknowns", "4"}}},
       {"example", {}},
   };
+}
+
+TEST(ModelDigest, RegistryAppsAtSmallNp) {
   std::set<std::string> covered;
   std::uint64_t h = kFnvOffset;
-  for (const auto& [app, params] : cases) {
+  for (const auto& [app, params] : registryCasesAtSmallNp()) {
     auto cluster = configs::makeConfig(configs::ConfigId::A);
     const auto run = analysis::runAndTrace(
         cluster, app, apps::makeApp(app, cluster.mount, params), 4);
@@ -366,6 +373,185 @@ TEST(ModelDigest, PerturbedMultiFileSchedules) {
     h = fnv1a(h, core::extractModel(perturbedTrace(seed)).renderText());
   }
   EXPECT_EQ(h, 0x97a9cdd5610be742ULL);
+}
+
+// ------------------------------------------------- shared stream shapes
+//
+// segmentTrace chooses cuts once per distinct (op, size, offset-delta)
+// shape and reuses them for every view with that shape; segmenting each
+// (rank, file) view on its own is the reference.
+
+/// Each (rank, file) view of `data` in segmentTrace's order — ranks in
+/// order, a rank's files in id order — segmented on its own.
+std::vector<core::Segment> perViewSegments(
+    const trace::TraceData& data, const core::PhaseDetectionOptions& options) {
+  std::vector<core::Segment> out;
+  for (int rank = 0; rank < data.np; ++rank) {
+    std::map<int, std::vector<const trace::Record*>> byFile;
+    for (const auto& r : data.perRank[static_cast<std::size_t>(rank)]) {
+      if (r.requestBytes >= options.ignoreOpsSmallerThan) {
+        byFile[r.fileId].push_back(&r);
+      }
+    }
+    for (const auto& [fileId, view] : byFile) {
+      for (auto& seg : core::segmentRecordView(view, options.segmentation)) {
+        out.push_back(std::move(seg));
+      }
+    }
+  }
+  return out;
+}
+
+/// (k, c) of each segment, front to back.
+std::vector<std::pair<std::size_t, std::uint64_t>> cutsOf(
+    const std::vector<core::Segment>& segs) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> cuts;
+  for (const auto& seg : segs) cuts.emplace_back(seg.ops.size(), seg.rep);
+  return cuts;
+}
+
+void expectSharedShapesMatch(const trace::TraceData& data,
+                             const std::string& name) {
+  core::PhaseDetectionOptions options;
+  core::PhaseDetectionOptions greedy;
+  greedy.segmentation.dpLimit = 8;
+  core::PhaseDetectionOptions filtered;
+  filtered.ignoreOpsSmallerThan = 8 * KiB;
+  for (const auto& opts : {options, greedy, filtered}) {
+    const std::string where =
+        name + " dpLimit " + std::to_string(opts.segmentation.dpLimit) +
+        " ignore " + std::to_string(opts.ignoreOpsSmallerThan);
+    const auto got = core::segmentTrace(data, opts);
+    const auto want = perViewSegments(data, opts);
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      const auto& g = got[s];
+      const auto& w = want[s];
+      const std::string at = where + " segment " + std::to_string(s);
+      EXPECT_EQ(g.idP, w.idP) << at;
+      EXPECT_EQ(g.idF, w.idF) << at;
+      EXPECT_EQ(g.rep, w.rep) << at;
+      ASSERT_EQ(g.ops.size(), w.ops.size()) << at;
+      for (std::size_t j = 0; j < g.ops.size(); ++j) {
+        EXPECT_EQ(g.ops[j].op, w.ops[j].op) << at;
+        EXPECT_EQ(g.ops[j].rsBytes, w.ops[j].rsBytes) << at;
+        EXPECT_EQ(g.ops[j].dispUnits, w.ops[j].dispUnits) << at;
+        EXPECT_EQ(g.ops[j].initOffsetUnits, w.ops[j].initOffsetUnits) << at;
+      }
+      EXPECT_EQ(g.repFirstTicks, w.repFirstTicks) << at;
+      EXPECT_EQ(g.repLastTicks, w.repLastTicks) << at;
+      EXPECT_EQ(g.repStartTimes, w.repStartTimes) << at;
+      EXPECT_EQ(g.repEndTimes, w.repEndTimes) << at;
+      EXPECT_EQ(g.repIoDurations, w.repIoDurations) << at;
+      EXPECT_EQ(g.opWindows, w.opWindows) << at;
+    }
+  }
+}
+
+/// One rank's stream: a (write, read) cycle six times, then four writes,
+/// all 16 KiB, offsets from `base`.
+std::vector<trace::Record> pairStream(int rank, std::uint64_t base) {
+  std::vector<trace::Record> recs;
+  auto add = [&](const char* op, std::uint64_t offset) {
+    trace::Record r;
+    r.rank = rank;
+    r.fileId = 1;
+    r.op = op;
+    r.offsetUnits = base + offset;
+    r.tick = recs.size() + 1;
+    r.requestBytes = 16 * KiB;
+    r.time = 0.25 * static_cast<double>(recs.size()) + rank;
+    r.duration = 0.125 + 0.0625 * rank;
+    recs.push_back(std::move(r));
+  };
+  for (std::uint64_t m = 0; m < 6; ++m) {
+    add("MPI_File_write_at", m * 64 * KiB);
+    add("MPI_File_read_at", m * 64 * KiB + 32 * KiB);
+  }
+  for (std::uint64_t m = 0; m < 4; ++m) {
+    add("MPI_File_write_at", (6 + m) * 64 * KiB);
+  }
+  return recs;
+}
+
+TEST(SegmentEquivalence, SharedShapesMatchPerRankSegmentation) {
+  for (const auto& [app, params] : registryCasesAtSmallNp()) {
+    auto cluster = configs::makeConfig(configs::ConfigId::A);
+    expectSharedShapesMatch(
+        analysis::runAndTrace(cluster, app,
+                              apps::makeApp(app, cluster.mount, params), 4)
+            .trace,
+        app);
+  }
+  {
+    auto cluster = configs::makeConfig(configs::ConfigId::A);
+    expectSharedShapesMatch(
+        analysis::runAndTrace(cluster, "btio",
+                              apps::makeApp("btio", cluster.mount,
+                                            {{"class", "A"}}),
+                              121)
+            .trace,
+        "btio np=121");
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    expectSharedShapesMatch(perturbedTrace(seed),
+                            "perturbed " + std::to_string(seed));
+  }
+
+  // Rank pairs whose shapes differ in one place each: rank 1 must get
+  // cuts of its own, not rank 0's.  Rank 2 repeats rank 0's shape from
+  // another base, and rank 1 of the last pair repeats it with offsets
+  // that wrap past 2^64: those share rank 0's cuts.
+  const std::uint64_t wrapBase = ~std::uint64_t{0} - 100 * KiB;
+  const std::vector<std::pair<std::string, std::function<void(
+                                               std::vector<trace::Record>&)>>>
+      pairs = {
+          {"last offset delta",
+           [](auto& recs) { recs.back().offsetUnits += 1; }},
+          {"one op name",
+           [](auto& recs) { recs[5].op = "MPI_File_read_at_all"; }},
+          {"one request size",
+           [](auto& recs) { recs[7].requestBytes += 1; }},
+          {"offsets wrapping past 2^64",
+           [wrapBase](auto& recs) {
+             for (auto& r : recs) r.offsetUnits += wrapBase;
+           }},
+      };
+  for (const auto& [name, change] : pairs) {
+    trace::TraceData data;
+    data.appName = "pair";
+    data.np = 3;
+    data.commEventsPerRank.assign(3, 0);
+    data.perRank = {pairStream(0, 0), pairStream(1, 0),
+                    pairStream(2, 1024 * KiB)};
+    change(data.perRank[1]);
+    const auto own0 = cutsOf(core::segmentRecords(data.perRank[0]));
+    const auto own1 = cutsOf(core::segmentRecords(data.perRank[1]));
+    if (name == "offsets wrapping past 2^64") {
+      EXPECT_EQ(own1, own0) << name;
+    } else {
+      EXPECT_NE(own1, own0) << name << ": the pair must need its own cuts";
+    }
+    expectSharedShapesMatch(data, name);
+  }
+
+  // Twelve op names, more than the op-name interner finds by scanning:
+  // rank 1 differs from rank 0 in one name, rank 2 repeats rank 0.
+  trace::TraceData manyNames;
+  manyNames.appName = "many-names";
+  manyNames.np = 3;
+  manyNames.commEventsPerRank.assign(3, 0);
+  manyNames.perRank = {pairStream(0, 0), pairStream(1, 0),
+                       pairStream(2, 1024 * KiB)};
+  for (auto& recs : manyNames.perRank) {
+    for (std::size_t q = 0; q < recs.size(); ++q) {
+      recs[q].op = "MPI_File_op_" + std::to_string(q % 12);
+    }
+  }
+  manyNames.perRank[1][14].op = "MPI_File_op_3";
+  EXPECT_NE(cutsOf(core::segmentRecords(manyNames.perRank[1])),
+            cutsOf(core::segmentRecords(manyNames.perRank[0])));
+  expectSharedShapesMatch(manyNames, "many op names");
 }
 
 /// Synthesis round trip: model -> synthetic app -> traced model must be
